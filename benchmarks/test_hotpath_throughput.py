@@ -1,18 +1,14 @@
-"""Hot-path throughput microbenchmark, labelled by tag-store backend.
+"""Hot-path throughput microbenchmark, labelled by simulation engine.
 
 Measures raw simulator accesses/sec on the kernel-eligible policy trio
-four ways — instrumented (default probe set, object layout), probe-free
-on the ``object`` backend, probe-free on the ``soa`` backend (numpy
-struct-of-arrays + batched kernel, DESIGN.md §13), and probe-free with
-the telemetry layer imported but idle — and **appends** one
-timestamped, backend-tagged entry to ``BENCH_hotpath.json`` at the repo
-root. Earlier entries (including the pre-refactor record, preserved
-under ``"legacy"``) are never overwritten, so the file carries the
+four ways — instrumented (default probe set, generic loop), probe-free
+on the ``generic`` per-access loop, probe-free on the batched
+``kernel`` (DESIGN.md §13), and probe-free generic with the telemetry
+layer imported but idle — and **appends** one timestamped,
+engine-tagged entry to ``BENCH_hotpath.json`` at the repo root. Earlier
+entries (including the pre-refactor record, preserved under
+``"legacy"``) are never overwritten, so the file carries the
 before/after history across refactors.
-
-The soa leg is the point of the benchmark: when numpy is unavailable
-the whole test skips loudly with a reason instead of silently passing
-on an object-only grid.
 
 ``PRE_REFACTOR_BASELINE`` pins the accesses/sec measured at the growth
 seed (commit ad4a4f6, always-on instrumentation, same workload/refs/
@@ -24,10 +20,7 @@ from __future__ import annotations
 
 import pathlib
 
-import pytest
-
 from repro.bench import append_entry, measure_throughput, run_hotpath_bench
-from repro.kernel import numpy_available
 from repro.sim.system import SystemConfig
 
 BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_hotpath.json"
@@ -43,39 +36,38 @@ PRE_REFACTOR_BASELINE = {
     "lap": 66_642,
 }
 
-#: loose in-benchmark floor for the soa-vs-object speedup. The
+#: loose in-benchmark floor for the kernel-vs-generic speedup. The
 #: acceptance target (≥ 3×, recorded in BENCH_hotpath.json) is a
 #: same-machine best-of comparison; shared CI runners are noisy enough
 #: that the automated gate sits lower.
-MIN_SOA_SPEEDUP = 1.8
+MIN_KERNEL_SPEEDUP = 1.8
 
 
-def _throughput(system: SystemConfig, policy: str) -> float:
+def _throughput(system: SystemConfig, policy: str, kernel: bool = True) -> float:
     return measure_throughput(
-        system, policy, refs_per_core=REFS_PER_CORE, reps=REPS, seed=7
+        system, policy, refs_per_core=REFS_PER_CORE, reps=REPS, seed=7, kernel=kernel
     )
 
 
 def measure_grid() -> dict:
-    # Probe-free, both backends: the backend-tagged core of the entry.
+    # Probe-free, both engines: the engine-tagged core of the entry.
     entry = run_hotpath_bench(
         POLICIES,
-        ("object", "soa"),
         refs_per_core=REFS_PER_CORE,
         reps=REPS,
         seed=7,
     )
     entry["pre_refactor_accesses_per_sec"] = dict(PRE_REFACTOR_BASELINE)
 
-    # Instrumented leg (default probes; probes force the object layout's
-    # generic path, so this tracks the instrumentation overhead).
+    # Instrumented leg (default probes force the generic loop, so this
+    # tracks the instrumentation overhead).
     system = SystemConfig.scaled()
     entry["instrumented_accesses_per_sec"] = {
         policy: round(_throughput(system, policy)) for policy in POLICIES
     }
 
     probe_free = {
-        policy: entry["accesses_per_sec"][policy]["object"] for policy in POLICIES
+        policy: entry["accesses_per_sec"][policy]["generic"] for policy in POLICIES
     }
     entry["probe_free_vs_instrumented"] = {
         policy: round(
@@ -90,17 +82,17 @@ def measure_grid() -> dict:
 
     # Telemetry-idle guard: with repro.telemetry fully imported and a
     # live metrics registry installed — but no TraceProbe attached and
-    # nothing recording — the probe-free object hot path must be
+    # nothing recording — the probe-free generic hot path must be
     # unchanged. Metrics reporting is edge-triggered (once per run in
     # finish()), so this measures that the telemetry layer stays off
     # the per-access path entirely.
     from repro.telemetry import MetricsRegistry, set_registry
 
-    probe_free_system = system.probe_free().with_tag_backend("object")
+    probe_free_system = system.probe_free()
     previous = set_registry(MetricsRegistry())
     try:
         entry["telemetry_idle_accesses_per_sec"] = {
-            policy: round(_throughput(probe_free_system, policy))
+            policy: round(_throughput(probe_free_system, policy, kernel=False))
             for policy in POLICIES
         }
     finally:
@@ -117,43 +109,35 @@ def measure_grid() -> dict:
 def test_hotpath_throughput(benchmark, emit):
     from conftest import run_once
 
-    if not numpy_available():
-        pytest.skip(
-            "numpy is not importable: the soa tag-store backend (the "
-            "vectorized hot path this benchmark exists to track) cannot "
-            "run, and an object-only grid would record a misleadingly "
-            "green entry"
-        )
-
     entry = run_once(benchmark, measure_grid)
     append_entry(BENCH_PATH, entry)
 
     lines = [
-        f"{'policy':15s} {'instrumented':>14s} {'object':>10s} {'soa':>10s} "
-        f"{'soa/object':>10s}"
+        f"{'policy':15s} {'instrumented':>14s} {'generic':>10s} {'kernel':>10s} "
+        f"{'kernel/gen':>10s}"
     ]
     for policy in POLICIES:
         rates = entry["accesses_per_sec"][policy]
         lines.append(
             f"{policy:15s} {entry['instrumented_accesses_per_sec'][policy]:>14,} "
-            f"{rates['object']:>10,} {rates['soa']:>10,} "
-            f"{entry['speedup_soa_vs_object'][policy]:>9.2f}x"
+            f"{rates['generic']:>10,} {rates['kernel']:>10,} "
+            f"{entry['speedup_kernel_vs_generic'][policy]:>9.2f}x"
         )
     emit("hotpath_throughput", "\n".join(lines))
 
     # Loose in-benchmark gates (exact acceptance ratios are same-machine
     # comparisons; the appended JSON entry carries them):
-    # disabling probes must never cost throughput, the object grid must
-    # stay ahead of the pre-refactor seed, and the soa backend must beat
-    # the object backend by a wide margin on every policy.
+    # disabling probes must never cost throughput, the generic grid must
+    # stay ahead of the pre-refactor seed, and the batched kernel must
+    # beat the generic loop by a wide margin on every policy.
     for policy in POLICIES:
         assert entry["probe_free_vs_instrumented"][policy] > 0.95, policy
     grid_ratio = sum(entry["probe_free_vs_pre_refactor"].values()) / len(POLICIES)
     assert grid_ratio > 1.2
     for policy in POLICIES:
-        assert entry["speedup_soa_vs_object"][policy] >= MIN_SOA_SPEEDUP, (
+        assert entry["speedup_kernel_vs_generic"][policy] >= MIN_KERNEL_SPEEDUP, (
             policy,
-            entry["speedup_soa_vs_object"][policy],
+            entry["speedup_kernel_vs_generic"][policy],
         )
     # Telemetry importable-but-disabled must not tax the hot path.
     for policy in POLICIES:

@@ -8,7 +8,7 @@ once — a factory dict in :mod:`repro.core.policies`, the 7-tuple
 all of them and hoping nothing drifted. The registry replaces that:
 every policy is a :class:`PolicyEntry` carrying its factory *and* its
 metadata — source paper + section anchor, data-flow rules, probe
-events, invariant coverage, SoA-kernel eligibility, and which curated
+events, invariant coverage, batched-kernel eligibility, and which curated
 sets (arena grid, ``repro check`` default) it belongs to. Everything
 that used to hardcode a tuple now derives it from here, and the
 DESIGN.md §15 catalog table is checked against these entries by a
@@ -61,7 +61,7 @@ class PolicyEntry:
     rules: str
     aliases: Tuple[str, ...] = ()
     defaults: Tuple[Tuple[str, object], ...] = ()
-    #: ``BATCHED`` when the SoA batched kernel can run this policy,
+    #: ``BATCHED`` when the batched kernel can run this policy,
     #: ``GENERIC`` otherwise (the default for new policies)
     kernel: str = GENERIC
     #: needs a hybrid (SRAM+STT) LLC geometry to be meaningful
@@ -185,7 +185,7 @@ def arena_names(hybrid: bool = False) -> Tuple[str, ...]:
 
 
 def batched_names() -> Tuple[str, ...]:
-    """Policies declared eligible for the SoA batched kernel."""
+    """Policies declared eligible for the batched kernel."""
     return tuple(e.name for e in entries() if e.kernel == BATCHED)
 
 

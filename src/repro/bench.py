@@ -1,9 +1,10 @@
-"""Hot-path throughput benchmarking across tag-store backends.
+"""Hot-path throughput benchmarking of the two simulation engines.
 
 One bench run measures the probe-free simulation rate (accesses/sec,
 best of ``reps`` to shed scheduler noise) for each requested policy on
-each requested backend, and appends the result as one timestamped,
-backend-tagged entry to ``BENCH_hotpath.json``. The entry format is
+both engines — the generic per-access loop and the batched kernel — and
+appends the result as one timestamped, engine-tagged entry to
+``BENCH_hotpath.json``. The entry format is
 append-only history: re-running the bench never overwrites earlier
 measurements, so before/after comparisons across refactors stay in the
 file (ROADMAP item 1 asks exactly for that record).
@@ -17,9 +18,9 @@ File schema (version 2)::
         {
           "timestamp": "2026-08-08T12:34:56Z",
           "workload": "WL1", "refs_per_core": 30000, "reps": 5,
-          "backends": ["object", "soa"],
-          "accesses_per_sec": {"lap": {"object": 101873, "soa": 317849}},
-          "speedup_soa_vs_object": {"lap": 3.12},
+          "engines": ["generic", "kernel"],
+          "accesses_per_sec": {"lap": {"generic": 101873, "kernel": 317849}},
+          "speedup_kernel_vs_generic": {"lap": 3.12},
           ...
         }, ...
       ]
@@ -36,15 +37,17 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
-from .kernel import numpy_available
 from .sim.simulator import Simulator
 from .sim.system import SystemConfig
 
 #: the kernel-eligible policies the hot-path bench tracks by default —
 #: one per batched-kernel mode (non-inclusion, exclusion, LAP).
 BENCH_POLICIES = ("non-inclusive", "exclusive", "lap")
+
+#: the engines every bench entry measures, in column order.
+ENGINES = ("generic", "kernel")
 
 DEFAULT_REFS = 30_000
 DEFAULT_REPS = 5
@@ -57,14 +60,16 @@ def measure_throughput(
     refs_per_core: int = DEFAULT_REFS,
     reps: int = DEFAULT_REPS,
     seed: int = 7,
+    kernel: bool = True,
 ) -> float:
-    """Best-of-``reps`` probe-free accesses/sec for one (policy, system).
+    """Best-of-``reps`` accesses/sec for one (policy, system).
 
     Each rep builds a fresh simulator (cold caches — the measurement is
     of the engine, not of a warmed state) and times ``Simulator.run``
     wall-to-wall, workload generation included. Best-of is deliberate:
     the floor of a throughput measurement is noise, the ceiling is the
-    engine.
+    engine. ``kernel=False`` forces the generic loop on runs the batched
+    kernel could take.
     """
     from .workloads.mixes import make_table3_mix
 
@@ -72,6 +77,7 @@ def measure_throughput(
     for _ in range(max(1, reps)):
         workload = make_table3_mix(workload_name, system.scale_context(), seed=seed)
         sim = Simulator(system, policy, workload)
+        sim.enable_batch_kernel = kernel
         start = time.perf_counter()
         sim.run(refs_per_core)
         elapsed = time.perf_counter() - start
@@ -83,29 +89,23 @@ def measure_throughput(
 
 def run_hotpath_bench(
     policies: Sequence[str] = BENCH_POLICIES,
-    backends: Optional[Sequence[str]] = None,
     *,
     workload: str = "WL1",
     refs_per_core: int = DEFAULT_REFS,
     reps: int = DEFAULT_REPS,
     seed: int = 7,
 ) -> dict:
-    """Measure every (policy, backend) cell and return one bench entry.
+    """Measure every (policy, engine) cell and return one bench entry.
 
-    ``backends`` defaults to ``("object", "soa")`` when numpy is
-    importable and ``("object",)`` otherwise — the entry's
-    ``"backends"`` list records what actually ran, so a numpy-less
-    environment produces an honestly-labelled object-only entry rather
-    than a silently identical "soa" column.
+    Both engines run the same probe-free system; the ``generic`` column
+    forces the per-access loop with ``Simulator.enable_batch_kernel =
+    False``.
     """
-    if backends is None:
-        backends = ("object", "soa") if numpy_available() else ("object",)
+    system = SystemConfig.scaled().probe_free()
     rates: Dict[str, Dict[str, int]] = {}
     for policy in policies:
-        rates[policy] = {}
-        for backend in backends:
-            system = SystemConfig.scaled().probe_free().with_tag_backend(backend)
-            rates[policy][backend] = round(
+        rates[policy] = {
+            engine: round(
                 measure_throughput(
                     system,
                     policy,
@@ -113,24 +113,24 @@ def run_hotpath_bench(
                     refs_per_core=refs_per_core,
                     reps=reps,
                     seed=seed,
+                    kernel=engine == "kernel",
                 )
             )
-    entry = {
+            for engine in ENGINES
+        }
+    return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workload": workload,
         "refs_per_core": refs_per_core,
         "reps": reps,
         "seed": seed,
-        "backends": list(backends),
-        "numpy_available": numpy_available(),
+        "engines": list(ENGINES),
         "accesses_per_sec": rates,
-    }
-    if "object" in backends and "soa" in backends:
-        entry["speedup_soa_vs_object"] = {
-            policy: round(rates[policy]["soa"] / rates[policy]["object"], 2)
+        "speedup_kernel_vs_generic": {
+            policy: round(rates[policy]["kernel"] / rates[policy]["generic"], 2)
             for policy in policies
-        }
-    return entry
+        },
+    }
 
 
 def load_bench_file(path: Union[str, Path]) -> dict:
@@ -175,13 +175,12 @@ def append_entry(path: Union[str, Path], entry: dict) -> dict:
 
 
 def entry_rows(entry: dict) -> List[list]:
-    """Flatten one entry into (policy, backend..., speedup) table rows."""
-    backends = entry["backends"]
+    """Flatten one entry into (policy, engine..., speedup) table rows."""
     rows = []
     for policy, rates in sorted(entry["accesses_per_sec"].items()):
         row: List[object] = [policy]
-        row += [rates.get(b, "-") for b in backends]
-        speed = entry.get("speedup_soa_vs_object", {}).get(policy)
+        row += [rates.get(e, "-") for e in entry["engines"]]
+        speed = entry.get("speedup_kernel_vs_generic", {}).get(policy)
         row.append(f"{speed:.2f}x" if speed is not None else "-")
         rows.append(row)
     return rows

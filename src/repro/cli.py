@@ -124,11 +124,6 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--refs", type=int, default=20_000,
                         help="memory references per core (default: 20000)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tag-backend", choices=("auto", "object", "soa"),
-                        default="auto",
-                        help="tag-store layout: object (reference), soa "
-                        "(numpy struct-of-arrays + batched kernel), or auto "
-                        "(soa when the run qualifies; default)")
 
 
 def _system_from(args: argparse.Namespace) -> SystemConfig:
@@ -143,7 +138,6 @@ def _system_from(args: argparse.Namespace) -> SystemConfig:
         hybrid=args.hybrid,
         llc_kb=args.llc_kb,
         l2_kb=args.l2_kb,
-        tag_backend=getattr(args, "tag_backend", "auto"),
     )
 
 
@@ -593,7 +587,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         coherence=args.coherence,
         interval=args.interval,
         progress=(None if args.quiet else lambda m: print(f"  {m}", file=sys.stderr)),
-        tag_backend=args.tag_backend,
     )
     print(render_table(
         f"invariant checks ({len(policies)} policies, coherence={args.coherence}"
@@ -615,28 +608,28 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# bench: hot-path throughput across tag-store backends
+# bench: hot-path throughput of the generic loop and the batched kernel
 # ----------------------------------------------------------------------
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.action == "trend":
         return _cmd_bench_trend(args)
-    from .bench import BENCH_POLICIES, append_entry, entry_rows, run_hotpath_bench
-    from .kernel import numpy_available
+    from .bench import (
+        BENCH_POLICIES,
+        ENGINES,
+        append_entry,
+        entry_rows,
+        run_hotpath_bench,
+    )
 
     policies = tuple(args.policy) if args.policy else BENCH_POLICIES
-    if args.backend:
-        backends = tuple(args.backend)
-    else:
-        backends = ("object", "soa") if numpy_available() else ("object",)
     if not args.quiet:
         print(
-            f"  benchmarking {len(policies)} policies x {len(backends)} "
-            f"backends ({args.refs} refs/core, best of {args.reps})",
+            f"  benchmarking {len(policies)} policies x {len(ENGINES)} "
+            f"engines ({args.refs} refs/core, best of {args.reps})",
             file=sys.stderr,
         )
     entry = run_hotpath_bench(
         policies,
-        backends,
         workload=args.workload,
         refs_per_core=args.refs,
         reps=args.reps,
@@ -650,7 +643,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(render_table(
             f"hotpath accesses/sec ({entry['workload']}, probe-free, "
             f"{entry['timestamp']})",
-            ["policy", *backends, "soa/object"],
+            ["policy", *ENGINES, "kernel/generic"],
             entry_rows(entry),
         ))
         if args.out != "-":
@@ -659,7 +652,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    """``repro bench trend``: per-(policy, backend) trajectory over the
+    """``repro bench trend``: per-(policy, engine) trajectory over the
     bench history, latest vs best prior; ``--fail-on-regression PCT``
     exits 1 when any cell decayed beyond the tolerance (the CI guard)."""
     import pathlib
@@ -681,7 +674,7 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
                 "threshold_pct": threshold,
                 "cells": [c.as_dict() for c in cells],
                 "regressions": [
-                    {"policy": c.policy, "backend": c.backend,
+                    {"policy": c.policy, "engine": c.engine,
                      "delta_pct": c.delta_pct}
                     for c in (regressions(cells, threshold) if threshold else ())
                 ],
@@ -691,7 +684,7 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
     else:
         print(render_table(
             f"bench trend over {path} ({len(cells)} cells, latest vs best prior)",
-            ["policy", "backend", "entries", "latest", "best prior", "delta"],
+            ["policy", "engine", "entries", "latest", "best prior", "delta"],
             trend_rows(cells, threshold),
         ))
     if threshold is not None:
@@ -703,7 +696,7 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
             )
             for c in bad:
                 print(
-                    f"  {c.policy}/{c.backend}: {c.delta_pct:+.1f}% "
+                    f"  {c.policy}/{c.engine}: {c.delta_pct:+.1f}% "
                     f"({c.latest:.0f} vs best {c.best_prior:.0f})",
                     file=sys.stderr,
                 )
@@ -1136,16 +1129,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which coherence modes to exercise (default: both)")
     p.add_argument("--interval", type=int, default=64,
                    help="invariant re-check period in references (default: 64)")
-    p.add_argument("--tag-backend", choices=("object", "soa"), default=None,
-                   help="pin every stage's tag-store layout (default: the "
-                   "REPRO_TAG_BACKEND env var, then object)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-stage progress on stderr")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser(
         "bench",
-        help="measure hot-path throughput per tag-store backend and "
+        help="measure hot-path throughput of the generic loop and the "
+        "batched kernel and "
         "append the entry to BENCH_hotpath.json; `bench trend` analyses "
         "the accumulated history instead",
     )
@@ -1155,16 +1146,12 @@ def build_parser() -> argparse.ArgumentParser:
                    "best prior")
     p.add_argument("--fail-on-regression", type=float, default=None,
                    metavar="PCT",
-                   help="trend only: exit 1 when any (policy, backend) "
+                   help="trend only: exit 1 when any (policy, engine) "
                    "cell's latest rate sits more than PCT%% below its "
                    "best prior value")
     p.add_argument("--policy", action="append", default=None, metavar="NAME",
                    help="policy to bench (repeatable; default: the "
                    "kernel-eligible trio non-inclusive/exclusive/lap)")
-    p.add_argument("--backend", action="append", default=None,
-                   choices=("object", "soa"),
-                   help="tag-store backend to bench (repeatable; default: "
-                   "both when numpy is importable, object otherwise)")
     p.add_argument("--workload", default="WL1",
                    help="workload name (default: WL1)")
     p.add_argument("--refs", type=int, default=30_000,

@@ -1,4 +1,4 @@
-"""Batched probe-free reference loop over checked-out SoA tag stores.
+"""Batched probe-free reference loop: the kernel engine.
 
 The generic access path (:meth:`CacheHierarchy.access`) walks ~35
 Python calls per reference: clean layering, but ~9 microseconds per
@@ -6,17 +6,19 @@ access. This module is the same semantics with the layers flattened
 into one loop, for the configurations where nothing can observe the
 difference:
 
-- every cache uses the ``"soa"`` tag store (checkout/checkin),
 - the probe bus is empty (no instrumentation to dispatch),
 - coherence is off (no MOESI states, no snoops, no peer supplies),
 - the inclusion policy is one the kernel inlines: non-inclusive,
   exclusive, or LAP over an LRU baseline (all three replacement modes).
 
-Everything else falls back to the generic loop, which remains
-bit-identical across backends by construction (same code, same block
-protocol). The kernel is *required* to be bit-identical too — same
-stats, same timing floats, same final tag-array state — and the parity
-suite (``tests/test_tagstore_parity.py``) holds it to that.
+Everything else runs on the generic loop. The kernel works on the same
+tag store as the generic path: at the start of a run it checks every
+cache's :class:`~repro.cache.block.CacheBlock` objects out into flat
+Python lists (slot = set * assoc + way), and at the end it writes the
+values back into those same blocks. The kernel is *required* to be
+bit-identical to the generic path — same stats, same timing floats,
+same final tag-array state — and the parity suite
+(``tests/test_tagstore_parity.py``) holds it to that.
 
 How it stays exact: the per-access op sequence below is a line-by-line
 transcription of ``hierarchy.access`` + the policy flows, preserving
@@ -94,13 +96,68 @@ def kernel_mode(policy) -> Optional[int]:
 def eligible(hierarchy) -> bool:
     """Whether the batched kernel can run this hierarchy verbatim."""
     return (
-        hierarchy.llc.store.supports_batch
-        and all(c.store.supports_batch for c in hierarchy.l1s)
-        and all(c.store.supports_batch for c in hierarchy.l2s)
-        and hierarchy.coherence is None
+        hierarchy.coherence is None
         and not hierarchy.probe_bus.probes
         and kernel_mode(hierarchy.policy) is not None
     )
+
+
+def _checkout(cache) -> dict:
+    """Flatten ``cache``'s blocks into the kernel's working state.
+
+    Returns flat row-major Python lists (slot = set * assoc + way) plus
+    per-set tag->slot dicts and the loop counters. While the state is
+    checked out the blocks are stale; nothing else may read the cache
+    until :func:`_checkin`. ``rrpv`` and ``state`` are absent: the
+    kernel only runs LRU, non-coherent configurations, where they keep
+    their reset values.
+    """
+    blocks = [b for s in cache.sets for b in s.blocks]
+    assoc = cache.assoc
+    return {
+        "tag": [b.tag for b in blocks],
+        "valid": [b.valid for b in blocks],
+        "dirty": [b.dirty for b in blocks],
+        "loop": [b.loop_bit for b in blocks],
+        "last": [b.last_access for b in blocks],
+        "iseq": [b.insert_seq for b in blocks],
+        "maps": [
+            {t: s.index * assoc + b.way for t, b in s.tag_map.items()}
+            for s in cache.sets
+        ],
+        "loop_counts": [s.loop_count for s in cache.sets],
+    }
+
+
+def _checkin(cache, state: dict) -> None:
+    """Write a checked-out working state back into ``cache``'s blocks and
+    rebuild the per-set tag maps and loop counters.
+
+    Writes in place: ``tag_map`` entries and ``CacheBlock.cset`` hold
+    references to the block objects, so the blocks themselves must
+    survive the run.
+    """
+    blocks = [b for s in cache.sets for b in s.blocks]
+    for b, tag, valid, dirty, loop, last, iseq in zip(
+        blocks,
+        state["tag"],
+        state["valid"],
+        state["dirty"],
+        state["loop"],
+        state["last"],
+        state["iseq"],
+    ):
+        b.tag = tag
+        b.valid = valid
+        b.dirty = dirty
+        b.loop_bit = loop
+        b.last_access = last
+        b.insert_seq = iseq
+    assoc = cache.assoc
+    for s, slot_map, loops in zip(cache.sets, state["maps"], state["loop_counts"]):
+        base = s.index * assoc
+        s.tag_map = {t: s.blocks[slot - base] for t, slot in slot_map.items()}
+        s.loop_count = loops
 
 
 def _flatten_maps(per_set_maps, idx_bits) -> dict:
@@ -144,7 +201,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     h = sim.hierarchy
     policy = h.policy
     mode = kernel_mode(policy)
-    if mode is None or not eligible(h):  # pragma: no cover - guarded by caller
+    if not eligible(h):  # pragma: no cover - guarded by caller
         raise RuntimeError("batch kernel invoked on an ineligible hierarchy")
 
     timing = h.timing
@@ -181,7 +238,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     write_stall = 0.0
 
     # Per-LLC-slot service latencies / technology (hybrid-aware).
-    slot_techs = llc.store.way_techs * llc.num_sets
+    slot_techs = llc.way_techs * llc.num_sets
     r_serv = [
         timing.sram_read_latency if t == "sram" else timing.llc_read_latency
         for t in slot_techs
@@ -200,9 +257,9 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # kernel phases are flat several-hundred-line regions and spans are
     # per-phase, never per-reference, so the hot loop stays untouched.
     checkout_span = start_span("kernel.checkout", ncores=ncores)
-    l1_st = [c.store.checkout() for c in h.l1s]
-    l2_st = [c.store.checkout() for c in h.l2s]
-    ll_st = llc.store.checkout()
+    l1_st = [_checkout(c) for c in h.l1s]
+    l2_st = [_checkout(c) for c in h.l2s]
+    ll_st = _checkout(llc)
 
     l1_tag = [s["tag"] for s in l1_st]
     l1_val = [s["valid"] for s in l1_st]
@@ -731,12 +788,12 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
         l2_st[core]["maps"] = _unflatten_maps(
             m2_flat[core], h.l2s[core].num_sets, l2_mask, l2_idx_bits
         )
-        h.l1s[core].store.checkin(l1_st[core])
-        h.l2s[core].store.checkin(l2_st[core])
+        _checkin(h.l1s[core], l1_st[core])
+        _checkin(h.l2s[core], l2_st[core])
         h.l1s[core]._tick = l1_tick[core]
         h.l2s[core]._tick = l2_tick[core]
     ll_st["maps"] = _unflatten_maps(ll_flat, llc.num_sets, llc_mask, llc_idx_bits)
-    llc.store.checkin(ll_st)
+    _checkin(llc, ll_st)
     llc._tick = ll_tick
 
     if duel_on:

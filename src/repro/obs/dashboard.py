@@ -11,8 +11,8 @@ bench trend with regression highlighting.
 
 Chart conventions (kept deliberately boring so the data is the loud
 part): single-series charts use one accent hue with no legend; the
-bench trend's two backends use the first two categorical slots (blue =
-object, orange = soa) with a legend; pass/fail status uses the
+bench trend's two engines use the first two categorical slots (blue =
+generic, orange = kernel) with a legend; pass/fail status uses the
 reserved status palette *with* a textual badge so color never carries
 meaning alone; all text wears text tokens, never a series color; dark
 mode is its own selected steps behind ``prefers-color-scheme``, not an
@@ -335,7 +335,6 @@ def _section_invariants(check_rows: Optional[Sequence[Tuple[str, Optional[bool],
 
 def _section_provenance(ledger: RunLedger) -> str:
     source_rows = [[k, _fmt(v)] for k, v in sorted(ledger.by_source().items())]
-    backend_rows = [[k, _fmt(v)] for k, v in sorted(ledger.by_backend().items())]
     dirs = "".join(f'<div class="mono">{_esc(d)}</div>' for d in ledger.dirs)
     problems = ""
     if ledger.problems:
@@ -345,15 +344,10 @@ def _section_provenance(ledger: RunLedger) -> str:
             f'<ul class="note">{items}</ul>'
         )
     return (
-        '<div class="grid-wrap">'
         '<div class="card"><h2 style="margin-top:0">Result provenance</h2>'
         + _table(["source", "jobs"], source_rows)
         + '<p class="note">cache = warm result-cache hit; pool/serial = freshly '
         "simulated; disk = cache entry with no manifest row</p></div>"
-        '<div class="card"><h2 style="margin-top:0">Tag-store backends</h2>'
-        + _table(["backend", "jobs"], backend_rows)
-        + f'<p class="note">as specified on the job (auto resolves at run time)</p>'
-        f"</div></div>"
         f'<div class="card"><h2 style="margin-top:0">Scanned directories</h2>{dirs}'
         f"{problems}</div>"
     )
@@ -392,7 +386,7 @@ def _section_bench(bench_doc: Optional[Dict[str, Any]],
         stamps = [t for t, _ in cell.series]
         classes = []
         for i in range(len(values)):
-            cls = "alt" if cell.backend == "soa" else ""
+            cls = "alt" if cell.engine == "kernel" else ""
             if (
                 i == len(values) - 1
                 and regression_pct is not None
@@ -402,7 +396,7 @@ def _section_bench(bench_doc: Optional[Dict[str, Any]],
                 any_regressed = True
             classes.append(cls)
         titles = [
-            f"{cell.policy}/{cell.backend} @ {t}: {_fmt(v)} accesses/s"
+            f"{cell.policy}/{cell.engine} @ {t}: {_fmt(v)} accesses/s"
             for t, v in cell.series
         ]
         labels = [t[5:10] if len(t) >= 10 else t for t in stamps]
@@ -410,14 +404,14 @@ def _section_bench(bench_doc: Optional[Dict[str, Any]],
         delta_text = "" if delta is None else f" ({delta:+.1f}% vs best prior)"
         multiples.append(
             f'<div class="card"><h2 style="margin-top:0">{_esc(cell.policy)} '
-            f"· {_esc(cell.backend)}{_esc(delta_text)}</h2>"
+            f"· {_esc(cell.engine)}{_esc(delta_text)}</h2>"
             + _columns(values, labels, titles, classes)
             + "</div>"
         )
     legend = (
         '<div class="legend">'
-        '<span><span class="key"></span>object backend</span>'
-        '<span><span class="key alt"></span>soa backend</span>'
+        '<span><span class="key"></span>generic engine</span>'
+        '<span><span class="key alt"></span>batched kernel</span>'
         "</div>"
     )
     header = ""

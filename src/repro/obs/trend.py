@@ -2,7 +2,7 @@
 
 The bench file is append-only history (one timestamped entry per
 ``repro bench`` run); this module turns it into trends: for every
-(policy, backend) cell, the series of accesses/sec across entries, the
+(policy, engine) cell, the series of accesses/sec across entries, the
 latest value, the best *prior* value, and the percentage delta between
 them. ``repro bench trend`` renders that as a table (or JSON) and, with
 ``--fail-on-regression PCT``, exits non-zero when any cell's latest
@@ -26,10 +26,10 @@ from ..errors import TelemetryError
 
 @dataclass
 class TrendCell:
-    """One (policy, backend) series across bench entries."""
+    """One (policy, engine) series across bench entries."""
 
     policy: str
-    backend: str
+    engine: str
     #: (timestamp, accesses/sec) in file (= chronological append) order.
     series: List[tuple] = field(default_factory=list)
 
@@ -58,7 +58,7 @@ class TrendCell:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "policy": self.policy,
-            "backend": self.backend,
+            "engine": self.engine,
             "entries": len(self.series),
             "series": [{"timestamp": t, "accesses_per_sec": v}
                        for t, v in self.series],
@@ -69,22 +69,22 @@ class TrendCell:
 
 
 def bench_trend(doc: Dict[str, Any]) -> List[TrendCell]:
-    """Extract every (policy, backend) trend cell from a bench document.
+    """Extract every (policy, engine) trend cell from a bench document.
 
     ``doc`` is the schema-2 shape :func:`repro.bench.load_bench_file`
-    returns; a v1 ``legacy`` record (flat, backend-less) contributes a
-    leading ``object``-backend point when its rates are recoverable, so
+    returns; a v1 ``legacy`` record (flat, engine-less) contributes a
+    leading ``generic``-engine point when its rates are recoverable, so
     the trajectory reaches back past the schema migration.
     """
     if not isinstance(doc, dict):
         raise TelemetryError("bench trend needs the parsed BENCH_hotpath.json dict")
     cells: Dict[tuple, TrendCell] = {}
 
-    def cell(policy: str, backend: str) -> TrendCell:
-        key = (policy, backend)
+    def cell(policy: str, engine: str) -> TrendCell:
+        key = (policy, engine)
         found = cells.get(key)
         if found is None:
-            found = cells[key] = TrendCell(policy=policy, backend=backend)
+            found = cells[key] = TrendCell(policy=policy, engine=engine)
         return found
 
     legacy = doc.get("legacy")
@@ -94,7 +94,7 @@ def bench_trend(doc: Dict[str, Any]) -> List[TrendCell]:
             stamp = legacy.get("timestamp", "legacy")
             for policy, value in sorted(rates.items()):
                 if isinstance(value, (int, float)):
-                    cell(policy, "object").series.append((stamp, float(value)))
+                    cell(policy, "generic").series.append((stamp, float(value)))
 
     for entry in doc.get("entries", []):
         if not isinstance(entry, dict):
@@ -104,15 +104,15 @@ def bench_trend(doc: Dict[str, Any]) -> List[TrendCell]:
         if not isinstance(rates, dict):
             continue
         for policy in sorted(rates):
-            per_backend = rates[policy]
-            if not isinstance(per_backend, dict):
+            per_engine = rates[policy]
+            if not isinstance(per_engine, dict):
                 continue
-            for backend in sorted(per_backend):
-                value = per_backend[backend]
+            for engine in sorted(per_engine):
+                value = per_engine[engine]
                 if isinstance(value, (int, float)):
-                    cell(policy, backend).series.append((stamp, float(value)))
+                    cell(policy, engine).series.append((stamp, float(value)))
 
-    return sorted(cells.values(), key=lambda c: (c.policy, c.backend))
+    return sorted(cells.values(), key=lambda c: (c.policy, c.engine))
 
 
 def regressions(
@@ -123,7 +123,7 @@ def regressions(
 
 
 def trend_rows(cells: List[TrendCell], threshold_pct: Optional[float] = None) -> List[list]:
-    """CLI table rows: policy, backend, n, latest, best prior, delta."""
+    """CLI table rows: policy, engine, n, latest, best prior, delta."""
     rows: List[list] = []
     for c in cells:
         delta = c.delta_pct
@@ -134,7 +134,7 @@ def trend_rows(cells: List[TrendCell], threshold_pct: Optional[float] = None) ->
                 verdict += " REGRESSION"
         rows.append([
             c.policy,
-            c.backend,
+            c.engine,
             len(c.series),
             round(c.latest) if c.latest is not None else "-",
             round(c.best_prior) if c.best_prior is not None else "-",

@@ -19,7 +19,7 @@ from ..errors import SimulationError
 from ..hierarchy.hierarchy import CacheHierarchy
 from ..inclusion.base import InclusionPolicy
 from ..instr import Probe
-from ..kernel import numpy_available, resolve_backend
+from ..kernel import batch as _batch
 from ..obs.spans import span
 from ..workloads.mixes import MULTITHREADED, Workload
 from .results import RunResult
@@ -30,6 +30,9 @@ DEFAULT_BATCH = 4096
 
 class Simulator:
     """Runs one workload under one inclusion policy."""
+
+    # One tag-store layout; perfbench/tracing.py reads this for its env line.
+    tag_backend = "object"
 
     def __init__(
         self,
@@ -62,47 +65,17 @@ class Simulator:
         # supplies one explicitly (tests, custom instrumentation).
         if probes is None:
             probes = system.probes()
-        #: when True (default), probe-free non-coherent runs on the soa
-        #: backend execute through the batched kernel; parity tests set
-        #: this False to force the generic loop over the same store.
+        #: when True (default), runs the batched kernel can take (see
+        #: :func:`repro.kernel.batch.eligible`) execute through it;
+        #: parity tests set this False to force the generic loop.
         self.enable_batch_kernel = True
-        self.tag_backend = self._resolve_backend(
-            system.tag_backend, policy, enable_coherence, probes
-        )
         self.hierarchy = CacheHierarchy(
             system.hierarchy,
             policy,
             enable_coherence=enable_coherence,
             occupancy_sample_interval=system.occupancy_sample_interval,
             probes=probes,
-            tag_backend=self.tag_backend,
         )
-
-    @staticmethod
-    def _resolve_backend(requested, policy, enable_coherence, probes) -> str:
-        """Resolve ``SystemConfig.tag_backend`` for this run.
-
-        ``"auto"`` picks soa exactly when the batched kernel would
-        engage (numpy present, no probes, no coherence, supported
-        policy) and object otherwise, so default runs either get the
-        full speedup or stay on the reference layout — never the
-        slower proxy-view middle ground. Explicit names (or the
-        ``REPRO_TAG_BACKEND`` override) are honoured as-is.
-        """
-        import os
-
-        from ..kernel import ENV_VAR
-
-        env = os.environ.get(ENV_VAR)
-        if env:
-            return resolve_backend(env)
-        if requested != "auto":
-            return resolve_backend(requested)
-        if not numpy_available() or probes or enable_coherence:
-            return "object"
-        from ..kernel.batch import kernel_mode
-
-        return "soa" if kernel_mode(policy) is not None else "object"
 
     def run(self, refs_per_core: int, batch: int = DEFAULT_BATCH) -> RunResult:
         """Simulate ``refs_per_core`` references on every core."""
@@ -130,11 +103,8 @@ class Simulator:
         :mod:`repro.kernel.batch` for the eligibility conditions).
         """
         h = self.hierarchy
-        if self.enable_batch_kernel and h.llc.store.supports_batch:
-            from ..kernel import batch as _batch
-
-            if _batch.eligible(h) and _batch.kernel_mode(self.policy) is not None:
-                return _batch.run_kernel(self, refs_per_core, batch)
+        if self.enable_batch_kernel and _batch.eligible(h):
+            return _batch.run_kernel(self, refs_per_core, batch)
         timing = h.timing
         gens = self.workload.generators
         ncores = len(gens)

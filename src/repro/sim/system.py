@@ -31,14 +31,6 @@ class SystemConfig:
     redundant-fill detector, occupancy sampler), ``"none"`` runs with
     zero per-access instrumentation overhead, and a comma-separated
     list of probe names selects exactly those probes.
-
-    ``tag_backend`` selects the tag-store layout (see
-    :mod:`repro.kernel`): ``"object"`` (one Python block per way),
-    ``"soa"`` (numpy struct-of-arrays + the batched probe-free
-    kernel), or ``"auto"`` — soa exactly when the run is probe-free,
-    non-coherent, and the policy has a batched kernel flow, object
-    otherwise. Stats are bit-identical across backends; the knob only
-    changes speed.
     """
 
     hierarchy: HierarchyConfig
@@ -48,7 +40,6 @@ class SystemConfig:
     duel_interval: int = 4096
     occupancy_sample_interval: int = 2048
     instrumentation: str = "default"
-    tag_backend: str = "auto"
 
     # ------------------------------------------------------------------
     # stock configurations
@@ -115,11 +106,6 @@ class SystemConfig:
         the mechanical stats matter.
         """
         return replace(self, instrumentation="none")
-
-    def with_tag_backend(self, backend: str) -> "SystemConfig":
-        """Same system pinned to one tag-store backend (Fig. 14 parity
-        runs and the benchmark harness use this)."""
-        return replace(self, tag_backend=backend)
 
     def probes(self):
         """The probe list implied by ``instrumentation`` (fresh instances)."""

@@ -115,3 +115,24 @@ class TestSystemRoundTrip:
     def test_malformed_dict_rejected(self):
         with pytest.raises(ExecutionError):
             system_from_dict({"label": "x"})
+
+    def test_retired_tag_store_field_still_loads(self):
+        """System dicts written while SystemConfig still had its
+        tag-store layout field (old cache manifests, older ``repro
+        serve`` clients) rebuild, and key like the same dict without it."""
+        from repro.exec import JobSpec, WorkloadSpec
+
+        system = small_system()
+        current = system_to_dict(system)
+        old = {**current, "tag_backend": "soa"}
+        assert system_from_dict(old) == system
+        job = {
+            "system": current,
+            "workload": WorkloadSpec.duplicate("mcf", ncores=2, seed=0).to_dict(),
+            "policy": "lap",
+            "refs_per_core": 300,
+        }
+        assert (
+            JobSpec.from_dict({**job, "system": old}).key()
+            == JobSpec.from_dict(job).key()
+        )

@@ -30,10 +30,10 @@ def sweep_dir(tmp_path_factory):
 
 
 def bench_doc(latest=900.0, prior=(1000.0, 800.0)):
-    """A minimal schema-2 bench document with one (lap, soa) cell."""
+    """A minimal schema-2 bench document with one (lap, kernel) cell."""
     entries = [
         {"timestamp": f"2026-08-0{i + 1}T00:00:00Z",
-         "accesses_per_sec": {"lap": {"soa": value}}}
+         "accesses_per_sec": {"lap": {"kernel": value}}}
         for i, value in enumerate([*prior, latest])
     ]
     return {"schema": 2, "entries": entries}
@@ -48,7 +48,7 @@ class TestTrend:
         assert cell.delta_pct == pytest.approx(-10.0)
 
     def test_regression_threshold_semantics(self):
-        cell = TrendCell("lap", "soa",
+        cell = TrendCell("lap", "kernel",
                          series=[("t0", 1000.0), ("t1", 900.0)])
         assert not cell.regressed(10.0), "-10% is within a 10% tolerance"
         assert cell.regressed(5.0)
@@ -56,21 +56,21 @@ class TestTrend:
         assert regressions([cell], 15.0) == []
 
     def test_single_entry_has_no_baseline(self):
-        cell = TrendCell("lap", "soa", series=[("t0", 1000.0)])
+        cell = TrendCell("lap", "kernel", series=[("t0", 1000.0)])
         assert cell.best_prior is None
         assert cell.delta_pct is None
         assert not cell.regressed(0.0)
 
-    def test_legacy_v1_record_contributes_object_points(self):
+    def test_legacy_v1_record_contributes_generic_points(self):
         doc = {
             "schema": 2,
             "legacy": {"timestamp": "old",
                        "accesses_per_sec": {"lap": 500.0}},
             "entries": [{"timestamp": "new",
-                         "accesses_per_sec": {"lap": {"object": 600.0}}}],
+                         "accesses_per_sec": {"lap": {"generic": 600.0}}}],
         }
         (cell,) = bench_trend(doc)
-        assert (cell.policy, cell.backend) == ("lap", "object")
+        assert (cell.policy, cell.engine) == ("lap", "generic")
         assert cell.series == [("old", 500.0), ("new", 600.0)]
 
     def test_trend_rows_flag_regressions(self):
@@ -102,9 +102,12 @@ class TestRenderDashboard:
             "Execution performance",
             "Result provenance",
             "Hot-path bench trend",
+            "batched kernel",
             "Energy per instruction",
         ):
             assert marker in html, marker
+        # bench cells are labelled by engine
+        assert "lap · kernel" in html
         # Self-contained: no external fetches of any kind.
         for banned in ("http://", "https://", "<script src", "<link "):
             assert banned not in html, banned
@@ -211,7 +214,7 @@ class TestBenchTrendCli:
         rc = main(["bench", "trend", "--out", str(path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "lap" in out and "soa" in out
+        assert "lap" in out and "kernel" in out
 
     def test_trend_fail_on_regression_exits_one(self, tmp_path, capsys):
         from repro.cli import main
@@ -245,3 +248,18 @@ class TestBenchTrendCli:
 
         rc = main(["bench", "trend", "--out", str(tmp_path / "absent.json")])
         assert rc != 0
+
+    def test_bench_run_measures_both_engines(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "BENCH_hotpath.json"
+        rc = main(["bench", "--policy", "lap", "--refs", "200", "--reps", "1",
+                   "--out", str(path), "--quiet"])
+        assert rc == 0
+        (entry,) = json.loads(path.read_text())["entries"]
+        assert entry["engines"] == ["generic", "kernel"]
+        assert set(entry["accesses_per_sec"]["lap"]) == {"generic", "kernel"}
+        assert entry["speedup_kernel_vs_generic"]["lap"] > 0
+        assert "kernel/generic" in capsys.readouterr().out
+        cells = bench_trend(json.loads(path.read_text()))
+        assert [(c.policy, c.engine) for c in cells] == [("lap", "generic"), ("lap", "kernel")]
