@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test check bench bench-figures lint trace-demo serve-demo arena-demo suite-demo report
+.PHONY: test check figure-golden bench bench-figures lint trace-demo serve-demo arena-demo suite-demo report
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -13,6 +13,12 @@ test:
 # seeded trace fuzzing — deterministic, ~3s.
 check:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro check --fuzz 200
+
+# Re-run the figure calls pinned by tests/test_figures_coverage.py and
+# diff their rows against tests/data/figure_golden.json (check only;
+# pass --write to the script to rewrite the golden).
+figure-golden:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/data/regen_figure_golden.py
 
 # Hot-path throughput of the generic loop and the batched kernel;
 # appends one timestamped entry to BENCH_hotpath.json (DESIGN.md §13).
