@@ -18,7 +18,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..arena import registry
 from ..errors import AnalysisError
+from ..exec.jobs import WorkloadSpec
 from ..sim.results import RunResult
+from ..sim.runner import normalized, run_policies
 from ..sim.system import SystemConfig
 
 Rows = Dict[str, Dict[str, float]]
@@ -48,8 +50,6 @@ def arena_grid(
     split (fills / clean victims / dirty victims, as shares of the
     baseline's total writes — the Fig. 15 convention).
     """
-    from .. import make_workload, simulate
-
     if policies is None:
         policies = arena_policies(hybrid=system.hierarchy.llc.sram_ways is not None)
     policies = registry.validate_names(policies)
@@ -57,11 +57,8 @@ def arena_grid(
         raise AnalysisError(
             f"the arena grid normalises to {BASELINE!r}; include it in the policy set"
         )
-    results: Dict[str, RunResult] = {}
-    for policy in policies:
-        workload = make_workload(workload_name, system, seed=seed)
-        results[policy] = simulate(system, policy, workload, refs_per_core=refs)
-    return grid_rows(results)
+    workload = WorkloadSpec.named(workload_name, system.hierarchy.ncores, seed=seed)
+    return grid_rows(run_policies(system, policies, workload, refs))
 
 
 def grid_rows(results: Dict[str, RunResult]) -> Rows:
@@ -91,18 +88,17 @@ def arena_over_mixes(
     """Fig. 14-shaped (mix x policy) EPI and write matrices for the
     arena set on the scaled STT-RAM system (experiment record)."""
     from ..workloads.mixes import TABLE3_ORDER
-    from .figures import _mix_results, _norm
+    from .figures import _grid, _mixes
 
     if mixes is None:
         mixes = TABLE3_ORDER
     if policies is None:
         policies = arena_policies()
     policies = registry.validate_names(policies)
-    system = SystemConfig.scaled()
     epi: Rows = {}
     writes: Rows = {}
-    for mix, res in _mix_results(system, policies, refs, mixes).items():
-        epi[mix] = _norm(res, "epi")
+    for mix, res in _grid(_mixes(SystemConfig.scaled(), mixes), policies, refs).items():
+        epi[mix] = normalized(res, "epi")
         base_writes = max(1, res[BASELINE].llc_writes)
         writes[mix] = {p: res[p].llc_writes / base_writes for p in policies}
     return epi, writes

@@ -10,12 +10,20 @@ harness completes in minutes.
 All comparisons follow the paper's conventions: metrics normalised to
 the **non-inclusive** policy on the same workload; WL/WH classification
 by relative write traffic under exclusion.
+
+Every figure except Fig. 21 lowers its (system, workload, policy) cells
+to :class:`~repro.exec.jobs.JobSpec` values and runs them as one
+:func:`~repro.exec.pool.execute_jobs` batch (:func:`_grid`). Several
+figures consume the same runs — Figs. 14/15/16/18 all simulate the
+Table III mixes under the same policies — so the batch goes through the
+active result cache, or through this module's in-memory one
+(:data:`_MEMO`) when none is set, and a shared cell is simulated once.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 from ..core.policies import (
     HOMOGENEOUS_POLICIES,
@@ -24,29 +32,47 @@ from ..core.policies import (
     LHYBRID_STAGES,
 )
 from ..energy import PUBLISHED_CONFIGS, RAW_TABLE1, SRAM, STT_RAM
-from ..errors import AnalysisError
+from ..exec.cache import ResultCache, get_active_cache
+from ..exec.jobs import JobSpec, WorkloadSpec
+from ..exec.pool import execute_jobs
 from ..sim.results import RunResult
-from ..sim.runner import (
-    duplicate_builder,
-    mix_builder,
-    multithreaded_builder,
-    run_policies,
-)
+from ..sim.runner import normalized
+from ..sim.simulator import simulate
 from ..sim.system import SystemConfig
-from ..workloads.mixes import TABLE3_MIXES, TABLE3_ORDER
+from ..workloads.mixes import TABLE3_MIXES, TABLE3_ORDER, make_table3_mix
 from ..workloads.parsec import PARSEC_ORDER
 from ..workloads.spec import PAPER_BENCHMARK_ORDER
 
 DEFAULT_BENCH_REFS = int(os.environ.get("REPRO_REFS", "30000"))
 
 Rows = Dict[str, Dict[str, float]]
+Cells = Mapping[Hashable, Tuple[SystemConfig, WorkloadSpec]]
+
+# The figures' result memo when no process-wide cache is active.
+_MEMO = ResultCache()
 
 
-def _norm(results: Mapping[str, RunResult], metric: str, baseline: str = "non-inclusive") -> Dict[str, float]:
-    base = getattr(results[baseline], metric)
-    if base == 0:
-        raise AnalysisError(f"baseline metric {metric} is zero")
-    return {p: getattr(r, metric) / base for p, r in results.items()}
+def _grid(
+    cells: Cells, policies: Sequence[str], refs: int
+) -> Dict[Hashable, Dict[str, RunResult]]:
+    """Run every (system, workload) cell under every policy as one
+    :func:`execute_jobs` batch; returns ``{cell: {policy: result}}``."""
+    policies = tuple(policies)
+    jobs = [
+        JobSpec(system=system, workload=workload, policy=p, refs_per_core=refs)
+        for system, workload in cells.values()
+        for p in policies
+    ]
+    outcome = execute_jobs(jobs, cache=get_active_cache() or _MEMO)
+    if outcome.interrupted:
+        raise KeyboardInterrupt
+    results = iter(outcome)
+    return {cell: {p: next(results) for p in policies} for cell in cells}
+
+
+def _mixes(system: SystemConfig, mixes: Sequence[str]) -> Cells:
+    """Table III mixes on one system, as :func:`_grid` cells."""
+    return {mix: (system, WorkloadSpec.mix(mix)) for mix in mixes}
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +150,25 @@ def fig2_motivation(
     policy's EPI normalised to non-inclusive plus relative misses and
     writes (Fig. 2c).
     """
-    sram_sys = SystemConfig.scaled(tech=SRAM)
-    stt_sys = SystemConfig.scaled(tech=STT_RAM)
+    systems = {"sram": SystemConfig.scaled(tech=SRAM), "stt": SystemConfig.scaled(tech=STT_RAM)}
+    cells = {
+        (tech, bench): (system, WorkloadSpec.duplicate(bench))
+        for tech, system in systems.items()
+        for bench in benchmarks
+    }
+    res = _grid(cells, ("non-inclusive", "exclusive"), refs)
     sram_rows: Rows = {}
     stt_rows: Rows = {}
     for bench in benchmarks:
-        builder = duplicate_builder(bench)
-        sram_res = run_policies(sram_sys, ("non-inclusive", "exclusive"), builder, refs)
-        stt_res = run_policies(stt_sys, ("non-inclusive", "exclusive"), builder, refs)
+        sram_res, stt_res = res["sram", bench], res["stt", bench]
         sram_rows[bench] = {
-            "ex_epi": _norm(sram_res, "epi")["exclusive"],
-            "ex_static_epi": _norm(sram_res, "static_epi")["exclusive"],
+            "ex_epi": normalized(sram_res, "epi")["exclusive"],
+            "ex_static_epi": normalized(sram_res, "static_epi")["exclusive"],
         }
         stt_rows[bench] = {
-            "ex_epi": _norm(stt_res, "epi")["exclusive"],
-            "rel_misses": _norm(stt_res, "llc_misses")["exclusive"],
-            "rel_writes": _norm(stt_res, "llc_writes")["exclusive"],
+            "ex_epi": normalized(stt_res, "epi")["exclusive"],
+            "rel_misses": normalized(stt_res, "llc_misses")["exclusive"],
+            "rel_writes": normalized(stt_res, "llc_writes")["exclusive"],
         }
     return sram_rows, stt_rows
 
@@ -150,9 +179,9 @@ def fig4_loop_blocks(
 ) -> Rows:
     """Fig. 4: loop-block fraction and CTC bucket shares per benchmark."""
     system = SystemConfig.scaled()
+    cells = {bench: (system, WorkloadSpec.duplicate(bench)) for bench in benchmarks}
     rows: Rows = {}
-    for bench in benchmarks:
-        res = run_policies(system, ("non-inclusive",), duplicate_builder(bench), refs)
+    for bench, res in _grid(cells, ("non-inclusive",), refs).items():
         r = res["non-inclusive"]
         buckets = {f"share[{k}]": v for k, v in _ctc_shares(r).items()}
         rows[bench] = {"loop_fraction": r.loop_block_fraction, **buckets}
@@ -173,9 +202,9 @@ def fig6_redundant_fill(
 ) -> Rows:
     """Fig. 6: fraction of redundant LLC data-fills (non-inclusive)."""
     system = SystemConfig.scaled()
+    cells = {bench: (system, WorkloadSpec.duplicate(bench)) for bench in benchmarks}
     rows: Rows = {}
-    for bench in benchmarks:
-        res = run_policies(system, ("non-inclusive",), duplicate_builder(bench), refs)
+    for bench, res in _grid(cells, ("non-inclusive",), refs).items():
         rows[bench] = {"redundant_fill_fraction": res["non-inclusive"].redundant_fill_fraction}
     return rows
 
@@ -185,59 +214,24 @@ def fig6_redundant_fill(
 # ---------------------------------------------------------------------------
 
 
-# Several figures consume the same (system, mix, policy) runs — e.g.
-# Figs. 14/15/16/18 all simulate the Table III mixes under the same
-# policies. Results are deterministic, so they are memoised per process;
-# the benchmark harness relies on this to avoid re-simulating.
-_RUN_CACHE: Dict[tuple, RunResult] = {}
-
-
-def _system_key(system: SystemConfig) -> tuple:
-    llc = system.hierarchy.llc
-    return (
-        system.label,
-        system.hierarchy.ncores,
-        system.hierarchy.l2.size_bytes,
-        llc.size_bytes,
-        llc.tech.name,
-        llc.sram_ways,
-        system.duel_interval,
-    )
-
-
-def _cached_run(system: SystemConfig, policy: str, mix: str, refs: int) -> RunResult:
-    key = (_system_key(system), policy, mix, refs)
-    if key not in _RUN_CACHE:
-        _RUN_CACHE[key] = run_policies(system, (policy,), mix_builder(mix), refs)[policy]
-    return _RUN_CACHE[key]
-
-
-def _mix_results(
-    system: SystemConfig,
-    policies: Sequence[str],
-    refs: int,
-    mixes: Sequence[str] = TABLE3_ORDER,
-) -> Dict[str, Dict[str, RunResult]]:
-    return {
-        mix: {p: _cached_run(system, p, mix, refs) for p in policies} for mix in mixes
-    }
-
-
 def fig12_noni_vs_ex(
     refs: int = DEFAULT_BENCH_REFS,
     mixes: Sequence[str] = TABLE3_ORDER,
 ) -> Tuple[Rows, Rows]:
     """Fig. 12: exclusive EPI normalised to non-inclusive, SRAM vs STT,
     with the static/dynamic breakdown of the STT runs."""
-    sram_sys = SystemConfig.scaled(tech=SRAM)
-    stt_sys = SystemConfig.scaled(tech=STT_RAM)
+    systems = {"sram": SystemConfig.scaled(tech=SRAM), "stt": SystemConfig.scaled(tech=STT_RAM)}
+    cells = {
+        (tech, mix): (system, WorkloadSpec.mix(mix))
+        for tech, system in systems.items()
+        for mix in mixes
+    }
+    res = _grid(cells, ("non-inclusive", "exclusive"), refs)
     sram_rows: Rows = {}
     stt_rows: Rows = {}
     for mix in mixes:
-        sres = {p: _cached_run(sram_sys, p, mix, refs) for p in ("non-inclusive", "exclusive")}
-        tres = {p: _cached_run(stt_sys, p, mix, refs) for p in ("non-inclusive", "exclusive")}
-        sram_rows[mix] = {"ex_epi": _norm(sres, "epi")["exclusive"]}
-        noni, ex = tres["non-inclusive"], tres["exclusive"]
+        sram_rows[mix] = {"ex_epi": normalized(res["sram", mix], "epi")["exclusive"]}
+        noni, ex = res["stt", mix]["non-inclusive"], res["stt", mix]["exclusive"]
         stt_rows[mix] = {
             "ex_epi": ex.epi / noni.epi,
             "noni_static_share": noni.energy.static_share,
@@ -253,11 +247,10 @@ def fig13_scatter(
 ) -> Rows:
     """Fig. 13: relative misses (Mrel) vs relative writes (Wrel) of the
     exclusive LLC, with which policy each mix favours."""
-    system = SystemConfig.scaled()
     rows: Rows = {}
-    for mix in mixes:
-        noni = _cached_run(system, "non-inclusive", mix, refs)
-        ex = _cached_run(system, "exclusive", mix, refs)
+    res = _grid(_mixes(SystemConfig.scaled(), mixes), ("non-inclusive", "exclusive"), refs)
+    for mix, by_policy in res.items():
+        noni, ex = by_policy["non-inclusive"], by_policy["exclusive"]
         mrel = ex.llc_misses / max(1, noni.llc_misses)
         wrel = ex.llc_writes / max(1, noni.llc_writes)
         rows[mix] = {
@@ -276,15 +269,13 @@ def fig14_policy_comparison(
 ) -> Tuple[Rows, Rows, Rows]:
     """Fig. 14: overall EPI, dynamic EPI, and throughput per policy,
     all normalised to the non-inclusive STT-RAM LLC."""
-    system = SystemConfig.scaled()
-    matrix = _mix_results(system, policies, refs, mixes)
     epi: Rows = {}
     dyn: Rows = {}
     perf: Rows = {}
-    for mix, res in matrix.items():
-        epi[mix] = _norm(res, "epi")
-        dyn[mix] = _norm(res, "dynamic_epi")
-        perf[mix] = _norm(res, "throughput")
+    for mix, res in _grid(_mixes(SystemConfig.scaled(), mixes), policies, refs).items():
+        epi[mix] = normalized(res, "epi")
+        dyn[mix] = normalized(res, "dynamic_epi")
+        perf[mix] = normalized(res, "throughput")
     return epi, dyn, perf
 
 
@@ -295,9 +286,8 @@ def fig15_write_breakdown(
 ) -> Rows:
     """Fig. 15: LLC write classes per policy, normalised to the
     non-inclusive policy's total writes."""
-    system = SystemConfig.scaled()
     rows: Rows = {}
-    for mix, res in _mix_results(system, policies, refs, mixes).items():
+    for mix, res in _grid(_mixes(SystemConfig.scaled(), mixes), policies, refs).items():
         base = max(1, res["non-inclusive"].llc_writes)
         for policy in policies:
             b = res[policy].write_breakdown()
@@ -324,9 +314,8 @@ def fig16_loop_occupancy(
     re-inserts every travelling loop-block; the switching policies
     eliminate part of them; LAP's duplicate check eliminates most.
     """
-    system = SystemConfig.scaled()
     rows: Rows = {}
-    for mix, res in _mix_results(system, policies, refs, mixes).items():
+    for mix, res in _grid(_mixes(SystemConfig.scaled(), mixes), policies, refs).items():
         rows[mix] = {p: res[p].loop_reinsertion_share for p in policies}
     return rows
 
@@ -336,11 +325,10 @@ def fig17_redundant_fill_mixes(
     mixes: Sequence[str] = TABLE3_ORDER,
 ) -> Rows:
     """Fig. 17: redundant-fill fraction of the non-inclusive LLC per mix."""
-    system = SystemConfig.scaled()
     rows: Rows = {}
-    for mix in mixes:
-        res = _cached_run(system, "non-inclusive", mix, refs)
-        rows[mix] = {"redundant_fill_fraction": res.redundant_fill_fraction}
+    res = _grid(_mixes(SystemConfig.scaled(), mixes), ("non-inclusive",), refs)
+    for mix, by_policy in res.items():
+        rows[mix] = {"redundant_fill_fraction": by_policy["non-inclusive"].redundant_fill_fraction}
     return rows
 
 
@@ -350,10 +338,9 @@ def fig18_mpki(
     policies: Sequence[str] = ("non-inclusive", "exclusive", "lap"),
 ) -> Rows:
     """Fig. 18: LLC MPKI normalised to the non-inclusive policy."""
-    system = SystemConfig.scaled()
     rows: Rows = {}
-    for mix, res in _mix_results(system, policies, refs, mixes).items():
-        rows[mix] = _norm(res, "mpki")
+    for mix, res in _grid(_mixes(SystemConfig.scaled(), mixes), policies, refs).items():
+        rows[mix] = normalized(res, "mpki")
     return rows
 
 
@@ -363,10 +350,9 @@ def fig19_lap_variants(
     policies: Sequence[str] = ("non-inclusive",) + LAP_VARIANTS,
 ) -> Rows:
     """Fig. 19: LAP-LRU vs LAP-Loop vs LAP overall EPI (normalised)."""
-    system = SystemConfig.scaled()
     rows: Rows = {}
-    for mix, res in _mix_results(system, policies, refs, mixes).items():
-        rows[mix] = {p: v for p, v in _norm(res, "epi").items() if p != "non-inclusive"}
+    for mix, res in _grid(_mixes(SystemConfig.scaled(), mixes), policies, refs).items():
+        rows[mix] = {p: v for p, v in normalized(res, "epi").items() if p != "non-inclusive"}
     return rows
 
 
@@ -383,11 +369,11 @@ def fig20_multithreaded(
     """Fig. 20: total LLC energy, performance (1/latency), and snoop
     traffic on PARSEC-like workloads, normalised to non-inclusion."""
     system = SystemConfig.scaled()
+    cells = {bench: (system, WorkloadSpec.multithreaded(bench)) for bench in benchmarks}
     energy: Rows = {}
     perf: Rows = {}
     snoop: Rows = {}
-    for bench in benchmarks:
-        res = run_policies(system, policies, multithreaded_builder(bench), refs)
+    for bench, res in _grid(cells, policies, refs).items():
         noni = res["non-inclusive"]
         energy[bench] = {p: res[p].total_energy / noni.total_energy for p in policies}
         perf[bench] = {p: noni.latency / res[p].latency for p in policies}
@@ -424,21 +410,16 @@ def fig21_capacity_ratio(
     # the caches under the same applications, so region sizes must not
     # re-scale with the swept L2/LLC capacities.
     base_ctx = SystemConfig.scaled().scale_context()
-
-    def fixed_builder(mix_name: str):
-        from ..workloads.mixes import make_table3_mix
-
-        def build(_ctx):
-            return make_table3_mix(mix_name, base_ctx, seed=0)
-
-        return build
-
     rows: Rows = {}
     for label, system in configs.items():
         acc: Dict[str, float] = {p: 0.0 for p in policies}
         for mix in mixes:
-            res = run_policies(system, policies, fixed_builder(mix), refs)
-            norm = _norm(res, "epi")
+            # Not a JobSpec: the workload is not a function of `system`.
+            res = {
+                p: simulate(system, p, make_table3_mix(mix, base_ctx, seed=0), refs)
+                for p in policies
+            }
+            norm = normalized(res, "epi")
             for p in policies:
                 acc[p] += norm[p] / len(mixes)
         rows[label] = acc
@@ -450,20 +431,23 @@ def fig22_core_count(
     policies: Sequence[str] = ("non-inclusive", "exclusive", "dswitch", "lap"),
 ) -> Rows:
     """Fig. 22: 4-core vs 8-core LLC EPI (fixed cache sizes)."""
-    from ..sim.runner import benchmarks_builder
-
     mixes4 = [TABLE3_MIXES[m] for m in ("WL2", "WH1")]
+    core_counts = (4, 8)
+    cells = {
+        # replicate the 4-benchmark mix across 8 cores
+        (ncores, i): (
+            SystemConfig.scaled(ncores=ncores),
+            WorkloadSpec.multiprogrammed(list(benchmarks) * (ncores // 4)),
+        )
+        for ncores in core_counts
+        for i, benchmarks in enumerate(mixes4)
+    }
+    res = _grid(cells, policies, refs)
     rows: Rows = {}
-    for ncores in (4, 8):
-        system = SystemConfig.scaled(ncores=ncores)
+    for ncores in core_counts:
         acc: Dict[str, float] = {p: 0.0 for p in policies}
-        for benchmarks in mixes4:
-            # replicate the 4-benchmark mix across 8 cores
-            benchlist = list(benchmarks) * (ncores // 4)
-            res = run_policies(
-                system, policies, benchmarks_builder(benchlist), refs
-            )
-            norm = _norm(res, "epi")
+        for i in range(len(mixes4)):
+            norm = normalized(res[ncores, i], "epi")
             for p in policies:
                 acc[p] += norm[p] / len(mixes4)
         rows[f"{ncores}-core"] = acc
@@ -478,31 +462,39 @@ def fig23_energy_ratio(
 ) -> Tuple[Rows, Rows]:
     """Fig. 23: LAP's EPI savings over non-inclusion as the write/read
     energy ratio scales, plus the published STT-RAM design points."""
-    curve: Rows = {}
-    for ratio in ratios:
-        system = SystemConfig.scaled(tech=STT_RAM.with_write_read_ratio(ratio))
-        saving = _avg_lap_saving(system, mixes, refs)
-        curve[f"ratio={ratio:g}"] = {"write_read_ratio": ratio, "epi_saving": saving}
-    published: Rows = {}
-    if include_published:
-        for cfg in PUBLISHED_CONFIGS:
-            system = SystemConfig.scaled(tech=cfg.technology())
-            saving = _avg_lap_saving(system, mixes, refs)
-            published[cfg.label] = {
-                "write_read_ratio": cfg.write_read_ratio,
-                "epi_saving": saving,
-                "on_curve": 1.0 if cfg.on_curve else 0.0,
-            }
+    published_cfgs = PUBLISHED_CONFIGS if include_published else ()
+    systems = {
+        **{ratio: SystemConfig.scaled(tech=STT_RAM.with_write_read_ratio(ratio))
+           for ratio in ratios},
+        **{cfg: SystemConfig.scaled(tech=cfg.technology()) for cfg in published_cfgs},
+    }
+    cells = {
+        (point, mix): (system, WorkloadSpec.mix(mix))
+        for point, system in systems.items()
+        for mix in mixes
+    }
+    res = _grid(cells, ("non-inclusive", "lap"), refs)
+
+    def avg_lap_saving(point) -> float:
+        total = 0.0
+        for mix in mixes:
+            noni, lap = res[point, mix]["non-inclusive"], res[point, mix]["lap"]
+            total += 1.0 - lap.epi / noni.epi
+        return total / len(mixes)
+
+    curve: Rows = {
+        f"ratio={ratio:g}": {"write_read_ratio": ratio, "epi_saving": avg_lap_saving(ratio)}
+        for ratio in ratios
+    }
+    published: Rows = {
+        cfg.label: {
+            "write_read_ratio": cfg.write_read_ratio,
+            "epi_saving": avg_lap_saving(cfg),
+            "on_curve": 1.0 if cfg.on_curve else 0.0,
+        }
+        for cfg in published_cfgs
+    }
     return curve, published
-
-
-def _avg_lap_saving(system: SystemConfig, mixes: Sequence[str], refs: int) -> float:
-    total = 0.0
-    for mix in mixes:
-        noni = _cached_run(system, "non-inclusive", mix, refs)
-        lap = _cached_run(system, "lap", mix, refs)
-        total += 1.0 - lap.epi / noni.epi
-    return total / len(mixes)
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +510,8 @@ def fig24_hybrid(
     """Fig. 24: hybrid-LLC EPI per policy, normalised to non-inclusion."""
     system = SystemConfig.scaled(hybrid=True)
     rows: Rows = {}
-    for mix, res in _mix_results(system, policies, refs, mixes).items():
-        rows[mix] = _norm(res, "epi")
+    for mix, res in _grid(_mixes(system, mixes), policies, refs).items():
+        rows[mix] = normalized(res, "epi")
     return rows
 
 
@@ -531,7 +523,7 @@ def fig25_lhybrid_stages(
     """Fig. 25: Lhybrid placement-stage ablation (normalised EPI)."""
     system = SystemConfig.scaled(hybrid=True)
     rows: Rows = {}
-    matrix = _mix_results(system, ("non-inclusive",) + tuple(policies), refs, mixes)
+    matrix = _grid(_mixes(system, mixes), ("non-inclusive",) + tuple(policies), refs)
     for mix, res in matrix.items():
-        rows[mix] = {p: v for p, v in _norm(res, "epi").items() if p != "non-inclusive"}
+        rows[mix] = {p: v for p, v in normalized(res, "epi").items() if p != "non-inclusive"}
     return rows

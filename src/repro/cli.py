@@ -82,12 +82,18 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import make_workload, simulate
+from . import make_workload
 from .analysis import classify_wl_wh, favors_exclusion, render_mapping_table, render_table
 from .energy import SRAM, STT_RAM
 from .errors import ReproError
-from .exec import ResultCache, cache_from_env, get_active_cache, set_active_cache
-from .sim import SystemConfig
+from .exec import (
+    ResultCache,
+    WorkloadSpec,
+    cache_from_env,
+    get_active_cache,
+    set_active_cache,
+)
+from .sim import SystemConfig, run_policies
 from .workloads import PARSEC_ORDER, TABLE3_ORDER, benchmark_names
 
 FIGURES = {
@@ -185,8 +191,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     system = _system_from(args)
-    workload = make_workload(args.workload, system, seed=args.seed)
-    result = simulate(system, args.policy, workload, refs_per_core=args.refs)
+    workload = WorkloadSpec.named(args.workload, system.hierarchy.ncores, seed=args.seed)
+    result = run_policies(system, (args.policy,), workload, args.refs)[args.policy]
     summary = result.summary()
     summary["snoop_traffic"] = float(result.snoop_traffic)
     summary["cycles"] = float(result.cycles)
@@ -219,26 +225,22 @@ def _policy_list(spec: str, hybrid: bool = False) -> tuple:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .analysis.arena import grid_rows
+    from .analysis.arena import arena_grid
 
     system = _system_from(args)
     if args.arena:
         policies = _policy_list("arena", hybrid=args.hybrid)
-    else:
-        policies = _policy_list(args.policies, hybrid=args.hybrid)
-    results = {}
-    for policy in policies:
-        workload = make_workload(args.workload, system, seed=args.seed)
-        results[policy] = simulate(system, policy, workload, refs_per_core=args.refs)
-    if args.arena:
         print(render_mapping_table(
             f"arena grid: {args.workload} on {system.label} "
             f"(normalised to {policies[0]}; write classes as share of "
             "its total LLC writes)",
-            grid_rows(results),
+            arena_grid(system, args.workload, args.refs, seed=args.seed, policies=policies),
             row_label="policy",
         ))
         return 0
+    policies = _policy_list(args.policies, hybrid=args.hybrid)
+    workload = WorkloadSpec.named(args.workload, system.hierarchy.ncores, seed=args.seed)
+    results = run_policies(system, policies, workload, args.refs)
     baseline = results[policies[0]]
     rows = {}
     for policy, r in results.items():
@@ -262,10 +264,8 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     rows = []
     benches = args.benchmarks or list(benchmark_names())
     for bench in benches:
-        runs = {}
-        for policy in ("non-inclusive", "exclusive"):
-            workload = make_workload(bench, system, seed=args.seed)
-            runs[policy] = simulate(system, policy, workload, refs_per_core=args.refs)
+        workload = WorkloadSpec.named(bench, system.hierarchy.ncores, seed=args.seed)
+        runs = run_policies(system, ("non-inclusive", "exclusive"), workload, args.refs)
         noni, ex = runs["non-inclusive"], runs["exclusive"]
         rows.append([
             bench,
@@ -423,27 +423,15 @@ def _cmd_validate_workloads(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sim.runner import duplicate_builder, mix_builder, multithreaded_builder
     from .sim.sweeps import Sweep, records_to_csv
-    from .workloads.mixes import TABLE3_MIXES
-    from .workloads.parsec import PARSEC_BENCHMARKS
 
     system = _system_from(args)
-    builders = {}
-    for name in args.workloads.split(","):
-        if name in TABLE3_MIXES:
-            builders[name] = mix_builder(name, seed=args.seed)
-        elif name in PARSEC_BENCHMARKS:
-            builders[name] = multithreaded_builder(
-                name, nthreads=system.hierarchy.ncores, seed=args.seed
-            )
-        else:
-            builders[name] = duplicate_builder(
-                name, ncores=system.hierarchy.ncores, seed=args.seed
-            )
     sweep = Sweep(
         systems={system.label: system},
-        workloads=builders,
+        workloads={
+            name: WorkloadSpec.named(name, system.hierarchy.ncores, seed=args.seed)
+            for name in args.workloads.split(",")
+        },
         policies=_policy_list(args.policies, hybrid=args.hybrid),
         refs_per_core=args.refs,
     )

@@ -2,11 +2,12 @@
 
 The paper's figures are grids of independent (system × workload ×
 policy) simulations. This package turns one grid cell into a value
-(:class:`JobSpec`), executes batches of them over a process pool with
-deterministic ordering (:func:`execute_jobs`), and memoises results in a
-content-addressed on-disk cache (:class:`ResultCache`) so identical runs
-are never simulated twice — across sweeps, figures, the CLI, and the
-benchmark harness alike.
+(:class:`JobSpec`), executes batches of them in-process or over a
+process pool with deterministic ordering (:func:`execute_jobs`, the one
+way any grid runs), and memoises results in a content-addressed cache
+(:class:`ResultCache`: on disk, or in memory with no directory) so
+identical runs are never simulated twice — across sweeps, figures, the
+CLI, and the benchmark harness alike.
 """
 
 from .cache import (

@@ -1,12 +1,15 @@
-"""Content-addressed on-disk cache of simulation results.
+"""Content-addressed cache of simulation results.
 
-Every entry is one JSON file named after the SHA-256 of the job's
-canonical description (see :meth:`~repro.exec.jobs.JobSpec.key`), so a
-result can only ever be served back to the exact (system, workload,
-policy, refs) that produced it — there is no invalidation logic to get
-wrong, only misses. A size cap evicts least-recently-used entries
-(mtime order; hits refresh mtime). Corrupt or schema-mismatched files
-count as misses and are deleted on sight.
+Every entry is keyed by the SHA-256 of the job's canonical description
+(see :meth:`~repro.exec.jobs.JobSpec.key`), so a result can only ever
+be served back to the exact (system, workload, policy, refs) that
+produced it — there is no invalidation logic to get wrong, only misses.
+
+``ResultCache(path)`` stores one JSON file per entry. A size cap evicts
+least-recently-used entries (mtime order; hits refresh mtime). Corrupt
+or schema-mismatched files count as misses and are deleted on sight.
+``ResultCache()`` (no directory) keeps the ``RunResult`` objects in a
+dict for the life of the process — the figure memo; it has no cap.
 
 The directory is safe to share between independent writers (the serve
 daemon, concurrent CLI invocations, pool workers): every store writes
@@ -70,20 +73,25 @@ class ResultCacheStats:
 
 
 class ResultCache:
-    """A content-addressed store of serialised :class:`RunResult`s."""
+    """A content-addressed store of :class:`RunResult`s: serialised
+    files under ``root``, or process memory when ``root`` is None."""
 
     def __init__(
         self,
-        root: Union[str, pathlib.Path],
+        root: Optional[Union[str, pathlib.Path]] = None,
         max_bytes: int = DEFAULT_MAX_BYTES,
     ) -> None:
         if max_bytes <= 0:
             raise ExecutionError(f"cache max_bytes must be positive, got {max_bytes}")
-        self.root = pathlib.Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ExecutionError(f"cannot create cache directory {self.root}: {exc}") from None
+        self.root = None if root is None else pathlib.Path(root)
+        self._memory: Dict[str, RunResult] = {}  # the store when root is None
+        if self.root is not None:
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ExecutionError(
+                    f"cannot create cache directory {self.root}: {exc}"
+                ) from None
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
@@ -112,6 +120,13 @@ class ResultCache:
     def get(self, job: JobSpec) -> Optional[RunResult]:
         """Return the cached result for ``job``, or ``None`` on a miss."""
         key = job.key()
+        if self.root is None:
+            result = self._memory.get(key)
+            if result is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+            return result
         path = self._path(key)
         try:
             payload = json.loads(path.read_text())
@@ -136,6 +151,10 @@ class ResultCache:
     def put(self, job: JobSpec, result: RunResult) -> None:
         """Store ``result`` under ``job``'s content address."""
         key = job.key()
+        if self.root is None:
+            self._memory[key] = result
+            self.puts += 1
+            return
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
@@ -191,6 +210,10 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
+        if self.root is None:
+            removed = len(self._memory)
+            self._memory.clear()
+            return removed
         removed = 0
         for path in self._entries():
             path.unlink(missing_ok=True)
@@ -198,15 +221,20 @@ class ResultCache:
         return removed
 
     def stats(self) -> ResultCacheStats:
-        """Session hit/miss/evict counters plus current disk footprint."""
-        sizes = self._sizes(self._entries())
+        """Session hit/miss/evict counters plus current disk footprint
+        (a memory-only cache reports its entry count and zero bytes)."""
+        if self.root is None:
+            entries, total_bytes = len(self._memory), 0
+        else:
+            sizes = self._sizes(self._entries())
+            entries, total_bytes = len(sizes), sum(sizes.values())
         return ResultCacheStats(
             hits=self.hits,
             misses=self.misses,
             evictions=self.evictions,
             puts=self.puts,
-            entries=len(sizes),
-            total_bytes=sum(sizes.values()),
+            entries=entries,
+            total_bytes=total_bytes,
             max_bytes=self.max_bytes,
         )
 
@@ -214,9 +242,12 @@ class ResultCache:
 # ----------------------------------------------------------------------
 # process-wide active cache
 # ----------------------------------------------------------------------
-# The runner consults this so that *every* path into run_one — figures,
-# the benchmark harness, the CLI — can be cached without threading a
-# cache handle through each call site.
+# Every grid runner consults this — ``run_policies`` (and so ``run_one``
+# and the CLI commands), ``Sweep.run`` and the figures — so the whole
+# program can be cached without threading a cache handle through each
+# call site. It is always a directory cache in practice (``--cache-dir``,
+# ``$REPRO_CACHE_DIR``); the figures fall back to their own in-memory
+# ``ResultCache()`` when none is set.
 _active_cache: Optional[ResultCache] = None
 
 

@@ -1,13 +1,13 @@
 """Declarative, picklable experiment descriptions.
 
-The runner historically described workloads as closures
-(``ScaleContext -> Workload``), which cannot cross a process boundary
-and have no canonical identity to cache under. :class:`WorkloadSpec`
-replaces the closure builders with frozen dataclasses that *are*
-builders (they are callable with a ``ScaleContext``), and
+A workload is described by a :class:`WorkloadSpec` — a frozen
+dataclass that builds the workload against a system's geometry — never
+by a closure, which could not cross a process boundary or be cached.
 :class:`JobSpec` bundles everything one simulation needs — system
 config, workload spec, policy name, reference count — into a value that
-pickles cleanly and hashes to a stable content address.
+pickles cleanly and hashes to a stable content address. Every grid in
+the repository (figures, sweeps, suites, CLI comparisons) is a batch of
+these values run by :func:`repro.exec.pool.execute_jobs`.
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ from typing import Any, Dict, Optional, Tuple
 from ..errors import ExecutionError, WorkloadError
 from ..sim.system import SystemConfig
 from ..workloads.mixes import (
+    TABLE3_ORDER,
     Workload,
     make_duplicate,
     make_multiprogrammed,
     make_multithreaded,
     make_table3_mix,
 )
+from ..workloads.parsec import PARSEC_BENCHMARKS
+from ..workloads.spec import SPEC_BENCHMARKS
 from ..workloads.synthetic import ScaleContext
 from .serialize import system_from_dict, system_to_dict
 
@@ -44,7 +47,7 @@ _KINDS = (DUPLICATE, MIX, MULTIPROGRAMMED, MULTITHREADED, TRACE)
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A declarative workload recipe; callable as a workload builder.
+    """A declarative workload recipe.
 
     ``kind`` selects the construction path; ``benchmarks`` holds the
     benchmark name(s) (or the mix name for ``kind="mix"``); ``ncores``
@@ -68,7 +71,7 @@ class WorkloadSpec:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
 
     # ------------------------------------------------------------------
-    # constructors mirroring sim.runner's historical builders
+    # constructors
     # ------------------------------------------------------------------
     @classmethod
     def duplicate(cls, benchmark: str, ncores: int = 4, seed: int = 0) -> "WorkloadSpec":
@@ -98,6 +101,27 @@ class WorkloadSpec:
     def multithreaded(cls, benchmark: str, nthreads: int = 4, seed: int = 0) -> "WorkloadSpec":
         """A PARSEC-like multithreaded workload (Fig. 20)."""
         return cls(kind=MULTITHREADED, benchmarks=(benchmark,), ncores=nthreads, seed=seed)
+
+    @classmethod
+    def named(cls, name: str, ncores: int = 4, seed: int = 0) -> "WorkloadSpec":
+        """The workload a bare name means on an ``ncores`` system.
+
+        A Table III mix (``"WL1"``..``"WH5"``, always 4-core), a
+        SPEC-like benchmark (duplicate copies on every core), or a
+        PARSEC-like benchmark (``ncores`` threads).
+        """
+        if name in TABLE3_ORDER:
+            return cls.mix(name, seed=seed)
+        if name in SPEC_BENCHMARKS:
+            return cls.duplicate(name, ncores=ncores, seed=seed)
+        if name in PARSEC_BENCHMARKS:
+            return cls.multithreaded(name, nthreads=ncores, seed=seed)
+        raise WorkloadError(
+            f"unknown benchmark or workload {name!r}: not a Table III mix "
+            f"({', '.join(TABLE3_ORDER)}), a SPEC-like benchmark "
+            f"({', '.join(sorted(SPEC_BENCHMARKS))}) or a PARSEC-like "
+            f"benchmark ({', '.join(sorted(PARSEC_BENCHMARKS))})"
+        )
 
     @classmethod
     def trace(
@@ -169,7 +193,7 @@ class WorkloadSpec:
             benchmarks=names,
         )
 
-    # WorkloadSpec *is* a WorkloadBuilder: callable(ScaleContext) -> Workload.
+    # Callable as ``spec(ctx)``, the same as ``spec.build(ctx)``.
     __call__ = build
 
     def to_dict(self) -> Dict[str, Any]:

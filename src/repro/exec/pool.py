@@ -1,10 +1,11 @@
 """Parallel job execution over a process pool, with caching and retry.
 
-:func:`execute_jobs` is the engine behind ``Sweep.run(max_workers=...)``
-and the CLI's ``--jobs``: it resolves cache hits first, fans the misses
-out over a :class:`~concurrent.futures.ProcessPoolExecutor`, and returns
-results in the *input* order regardless of completion order, so parallel
-sweeps are record-for-record identical to serial ones.
+:func:`execute_jobs` runs every grid in the repository — figures,
+``run_policies``, ``Sweep.run``, suites and the CLI: it resolves cache
+hits first, runs the misses in-process or fans them out over a
+:class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers > 1``),
+and returns results in the *input* order regardless of completion
+order, so parallel sweeps are record-for-record identical to serial ones.
 
 The return value is an :class:`ExecutionOutcome` — a list of
 :class:`RunResult` (so every existing caller keeps working) that also
@@ -142,6 +143,28 @@ def _run_with_retry(
     ) from last
 
 
+def _run_in_process(
+    jobs: Sequence[JobSpec],
+    i: int,
+    retries: int,
+    results: List[Optional[RunResult]],
+    profiles: List[Optional[JobProfile]],
+    prior_retries: int = 0,
+) -> None:
+    """Run ``jobs[i]`` in this process (see :func:`_run_with_retry`) and
+    record its result and profile in place; ``prior_retries`` counts
+    attempts already spent elsewhere (a failed pool worker)."""
+    job = jobs[i]
+    job_start = time.perf_counter()
+    with span("exec.job", index=i, policy=job.policy, workload=job.workload.label):
+        results[i], used = _run_with_retry(job, i, retries)
+    profile = _profile_for(i, job, SOURCE_SERIAL, results[i])
+    profile.wall_s = time.perf_counter() - job_start
+    profile.retries = prior_retries + used
+    profile.peak_rss_kb = peak_rss_kb()
+    profiles[i] = profile
+
+
 @contextlib.contextmanager
 def _sigterm_as_interrupt() -> Iterator[None]:
     """Bridge SIGTERM to ``KeyboardInterrupt`` for the enclosed batch.
@@ -244,28 +267,13 @@ def execute_jobs(
         if misses:
             with _sigterm_as_interrupt():
                 try:
-                    if max_workers > 1 and len(misses) > 1:
-                        _execute_pooled(
-                            jobs, misses, results, profiles, max_workers, timeout,
-                            retries, pulse, cached_count,
-                        )
-                    else:
+                    pooled = max_workers > 1 and len(misses) > 1 and _execute_pooled(
+                        jobs, misses, results, profiles, max_workers, timeout,
+                        retries, pulse, cached_count,
+                    )
+                    if not pooled:
                         for n, i in enumerate(misses):
-                            job_start = time.perf_counter()
-                            with span(
-                                "exec.job", index=i, policy=jobs[i].policy,
-                                workload=jobs[i].workload.label,
-                            ):
-                                results[i], used = _run_with_retry(
-                                    jobs[i], i, retries
-                                )
-                            profile = _profile_for(
-                                i, jobs[i], SOURCE_SERIAL, results[i]
-                            )
-                            profile.wall_s = time.perf_counter() - job_start
-                            profile.retries = used
-                            profile.peak_rss_kb = peak_rss_kb()
-                            profiles[i] = profile
+                            _run_in_process(jobs, i, retries, results, profiles)
                             pulse.beat(cached_count + n + 1, cached_count)
                 except KeyboardInterrupt:
                     # Graceful shutdown: keep everything that finished.
@@ -339,25 +347,16 @@ def _execute_pooled(
     retries: int,
     pulse: Heartbeat,
     cached_count: int,
-) -> None:
+) -> bool:
     """Fan ``misses`` out over a process pool, filling ``results`` and
-    ``profiles`` in place."""
+    ``profiles`` in place; False (nothing run) when no pool starts."""
     workers = min(max_workers, len(misses))
     try:
         pool = cf.ProcessPoolExecutor(max_workers=workers)
     except (OSError, ValueError, RuntimeError):
         # Pool cannot start (sandboxed environment, missing semaphores,
-        # spawn failure): degrade gracefully to serial execution.
-        for n, i in enumerate(misses):
-            job_start = time.perf_counter()
-            results[i], used = _run_with_retry(jobs[i], i, retries)
-            profile = _profile_for(i, jobs[i], SOURCE_SERIAL, results[i])
-            profile.wall_s = time.perf_counter() - job_start
-            profile.retries = used
-            profile.peak_rss_kb = peak_rss_kb()
-            profiles[i] = profile
-            pulse.beat(cached_count + n + 1, cached_count)
-        return
+        # spawn failure): the caller degrades to serial execution.
+        return False
 
     try:
         futures = {i: pool.submit(_run_job_dict, jobs[i]) for i in misses}
@@ -390,13 +389,10 @@ def _execute_pooled(
                     # A crashed worker may have broken the whole pool;
                     # the retry runs in-process, which also covers
                     # unpicklable-job failures.
-                    job_start = time.perf_counter()
-                    results[i], _ = _run_with_retry(jobs[i], i, retries=0)
-                    profile = _profile_for(i, jobs[i], SOURCE_SERIAL, results[i])
-                    profile.wall_s = time.perf_counter() - job_start
-                    profile.retries = retries - retry_budget[i]
-                    profile.peak_rss_kb = peak_rss_kb()
-                    profiles[i] = profile
+                    _run_in_process(
+                        jobs, i, 0, results, profiles,
+                        prior_retries=retries - retry_budget[i],
+                    )
                 else:
                     raise ExecutionError(
                         f"job {i} ({jobs[i].workload.label} / {jobs[i].policy}) "
@@ -418,6 +414,7 @@ def _execute_pooled(
         raise
     else:
         pool.shutdown(wait=True)
+    return True
 
 
 def _wait_with_heartbeat(

@@ -8,7 +8,6 @@ from .runner import (
     mix_builder,
     multithreaded_builder,
     normalized,
-    run_matrix,
     run_one,
     run_policies,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "RunResult",
     "run_one",
     "run_policies",
-    "run_matrix",
     "normalized",
     "duplicate_builder",
     "mix_builder",

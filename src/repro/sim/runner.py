@@ -1,32 +1,23 @@
-"""Experiment runner: build-fresh-workload-per-run orchestration.
+"""Experiment runner: one workload under several policies.
 
 Trace generators are stateful streams, so comparing policies fairly
 requires rebuilding the workload (same seed → bit-identical trace) for
-every run. The runner owns that discipline: callers pass a *workload
-builder* (``ScaleContext -> Workload``) and a list of policy names, and
-get back one :class:`~repro.sim.results.RunResult` per policy.
-
-Builders returned by this module are declarative
-:class:`~repro.exec.jobs.WorkloadSpec` values (picklable, content-
-addressable) rather than closures; any callable with the same signature
-still works for the serial path. When a process-wide result cache is
-active (see :func:`repro.exec.set_active_cache`), :func:`run_one`
-transparently serves cache hits for spec-described runs.
+every run. A :class:`~repro.exec.jobs.WorkloadSpec` is that recipe:
+:func:`run_policies` lowers each (system, spec, policy) cell to a
+:class:`~repro.exec.jobs.JobSpec` and runs the batch through
+:func:`~repro.exec.pool.execute_jobs`, which consults the process-wide
+result cache (see :func:`repro.exec.set_active_cache`) when one is set.
+Larger grids are a :class:`~repro.sim.sweeps.Sweep`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Sequence
+from typing import Dict, Iterable, Sequence
 
 from ..errors import AnalysisError
 from ..exec.jobs import JobSpec, WorkloadSpec
-from ..workloads.mixes import Workload
-from ..workloads.synthetic import ScaleContext
 from .results import RunResult
-from .simulator import Simulator
 from .system import SystemConfig
-
-WorkloadBuilder = Callable[[ScaleContext], Workload]
 
 # Default reference count per core for harness runs; large enough for
 # working sets to cycle through the scaled hierarchy several times.
@@ -34,89 +25,64 @@ DEFAULT_REFS = 120_000
 
 
 def duplicate_builder(benchmark: str, ncores: int = 4, seed: int = 0) -> WorkloadSpec:
-    """Builder for N duplicate copies of one benchmark (Figs. 2/4/6)."""
+    """Spec for N duplicate copies of one benchmark (Figs. 2/4/6)."""
     return WorkloadSpec.duplicate(benchmark, ncores=ncores, seed=seed)
 
 
 def mix_builder(mix_name: str, seed: int = 0) -> WorkloadSpec:
-    """Builder for a Table III mix (WL1..WH5)."""
+    """Spec for a Table III mix (WL1..WH5)."""
     return WorkloadSpec.mix(mix_name, seed=seed)
 
 
 def benchmarks_builder(
     benchmarks: Sequence[str], seed: int = 0, name: str | None = None
 ) -> WorkloadSpec:
-    """Builder for an arbitrary multiprogrammed combination."""
+    """Spec for an arbitrary multiprogrammed combination."""
     return WorkloadSpec.multiprogrammed(benchmarks, seed=seed, name=name)
 
 
 def multithreaded_builder(benchmark: str, nthreads: int = 4, seed: int = 0) -> WorkloadSpec:
-    """Builder for a PARSEC-like multithreaded workload (Fig. 20)."""
+    """Spec for a PARSEC-like multithreaded workload (Fig. 20)."""
     return WorkloadSpec.multithreaded(benchmark, nthreads=nthreads, seed=seed)
-
-
-def run_one(
-    system: SystemConfig,
-    policy: str,
-    builder: WorkloadBuilder,
-    refs_per_core: int = DEFAULT_REFS,
-    **policy_kwargs,
-) -> RunResult:
-    """Simulate one (policy, workload) pair on a fresh hierarchy.
-
-    The probe list (instrumentation) is derived from
-    ``system.instrumentation`` by the simulator — run a
-    ``system.probe_free()`` config for uninstrumented sweeps. The
-    field is part of the content-addressed cache key, so instrumented
-    and probe-free runs never alias in the result cache.
-
-    If a process-wide result cache is active and the run is fully
-    described by declarative values (a :class:`WorkloadSpec` builder, a
-    policy *name*, no extra policy kwargs), the cache is consulted first
-    and populated afterwards; otherwise the run always simulates.
-    """
-    if not policy_kwargs and isinstance(builder, WorkloadSpec) and isinstance(policy, str):
-        from ..exec.cache import get_active_cache
-
-        cache = get_active_cache()
-        if cache is not None:
-            job = JobSpec(
-                system=system, workload=builder, policy=policy, refs_per_core=refs_per_core
-            )
-            hit = cache.get(job)
-            if hit is not None:
-                return hit
-            result = job.run()
-            cache.put(job, result)
-            return result
-    workload = builder(system.scale_context())
-    sim = Simulator(system, policy, workload, **policy_kwargs)
-    return sim.run(refs_per_core)
 
 
 def run_policies(
     system: SystemConfig,
     policies: Iterable[str],
-    builder: WorkloadBuilder,
+    workload: WorkloadSpec,
     refs_per_core: int = DEFAULT_REFS,
 ) -> Dict[str, RunResult]:
-    """Run several policies against bit-identical copies of a workload."""
-    return {
-        policy: run_one(system, policy, builder, refs_per_core) for policy in policies
-    }
+    """Run several policies against bit-identical copies of a workload.
+
+    Returns ``{policy: result}`` keyed by the names as given. The probe
+    list (instrumentation) is derived from ``system.instrumentation``
+    by the simulator — run a ``system.probe_free()`` config for
+    uninstrumented sweeps. The field is part of the content-addressed
+    cache key, so instrumented and probe-free runs never alias.
+    """
+    # exec.cache imports this package (RunResult): import at call time.
+    from ..exec.cache import get_active_cache
+    from ..exec.pool import execute_jobs
+
+    policies = list(policies)
+    jobs = [
+        JobSpec(system=system, workload=workload, policy=p, refs_per_core=refs_per_core)
+        for p in policies
+    ]
+    outcome = execute_jobs(jobs, cache=get_active_cache())
+    if outcome.interrupted:
+        raise KeyboardInterrupt
+    return dict(zip(policies, outcome))
 
 
-def run_matrix(
+def run_one(
     system: SystemConfig,
-    policies: Sequence[str],
-    builders: Dict[str, WorkloadBuilder],
+    policy: str,
+    workload: WorkloadSpec,
     refs_per_core: int = DEFAULT_REFS,
-) -> Dict[str, Dict[str, RunResult]]:
-    """Full workload × policy sweep: ``{workload: {policy: result}}``."""
-    out: Dict[str, Dict[str, RunResult]] = {}
-    for wname, builder in builders.items():
-        out[wname] = run_policies(system, policies, builder, refs_per_core)
-    return out
+) -> RunResult:
+    """Simulate one (policy, workload) pair on a fresh hierarchy."""
+    return run_policies(system, (policy,), workload, refs_per_core)[policy]
 
 
 def normalized(

@@ -87,6 +87,26 @@ class TestCompareCommand:
         assert "non-inclusive" in out and "lap" in out
         assert "1.000" in out  # the baseline row
 
+    def test_second_cached_compare_simulates_nothing(self, capsys, monkeypatch, tmp_path):
+        from repro.sim.simulator import Simulator
+
+        calls = []
+        real_run = Simulator.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(self)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
+        argv = ["--cache-dir", str(tmp_path), "compare", "WL3", "--refs", "600",
+                "--policies", "non-inclusive,lap"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert len(calls) == 2
+        assert main(argv) == 0
+        assert len(calls) == 2, "the warm compare is served by the cache"
+        assert capsys.readouterr().out == cold
+
 
 class TestCharacterizeCommand:
     def test_characterize_named_benchmarks(self, capsys):

@@ -189,7 +189,7 @@ class TestWarmSweepRunsNothing:
         assert a.to_dict() == b.to_dict()
         assert get_active_cache().hits == 1
 
-    def test_policy_kwargs_bypass_the_cache(self, tmp_path, monkeypatch):
+    def test_sweep_falls_back_to_the_active_cache(self, tmp_path, monkeypatch):
         calls = {"n": 0}
         real_run = Simulator.run
 
@@ -199,8 +199,30 @@ class TestWarmSweepRunsNothing:
 
         monkeypatch.setattr(Simulator, "run", counting_run)
         set_active_cache(ResultCache(tmp_path))
-        system = small_system()
-        builder = duplicate_builder("mcf", ncores=2)
-        run_one(system, "lap", builder, 600, duel_interval=256)
-        run_one(system, "lap", builder, 600, duel_interval=256)
-        assert calls["n"] == 2, "kwarg-customised runs are not content-addressed"
+        sweep = self.sweep()
+        cold = sweep.run()
+        assert calls["n"] == 12
+        assert sweep.run() == cold
+        assert calls["n"] == 12, "a sweep with no cache argument uses the active one"
+
+
+class TestMemoryCache:
+    def test_miss_then_hit_returns_the_stored_object(self):
+        cache = ResultCache()
+        assert cache.root is None
+        j = job(refs=500)
+        assert cache.get(j) is None
+        result = j.run()
+        cache.put(j, result)
+        assert cache.get(j) is result
+        assert cache.get(job(refs=501)) is None
+        s = cache.stats()
+        assert (s.hits, s.misses, s.puts, s.evictions) == (1, 2, 1, 0)
+        assert (s.entries, s.total_bytes) == (1, 0)
+
+    def test_clear(self):
+        cache = ResultCache()
+        cache.put(job(refs=500), job(refs=500).run())
+        assert cache.clear() == 1
+        assert cache.stats().entries == 0
+        assert cache.get(job(refs=500)) is None

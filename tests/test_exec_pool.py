@@ -118,8 +118,9 @@ class TestSweepSpecRequirement:
         )
         with pytest.raises(ExecutionError, match="WorkloadSpec"):
             sweep.run(max_workers=2)
-        # ... but the serial path still accepts arbitrary callables
-        assert len(sweep.run()) == 1
+        # the serial path is the same execute_jobs batch: also rejected
+        with pytest.raises(ExecutionError, match="WorkloadSpec"):
+            sweep.run()
 
 
 class TestBuilderSpecs:

@@ -11,7 +11,6 @@ from repro.sim.runner import (
     mix_builder,
     multithreaded_builder,
     normalized,
-    run_matrix,
     run_one,
     run_policies,
 )
@@ -162,16 +161,6 @@ class TestRunner:
         norm = normalized(res, "llc_writes")
         assert norm["non-inclusive"] == 1.0
         assert norm["lap"] < 1.0
-
-    def test_run_matrix_shape(self, small_system):
-        out = run_matrix(
-            small_system,
-            ("non-inclusive",),
-            {"a": duplicate_builder("mcf", ncores=2), "b": duplicate_builder("lbm", ncores=2)},
-            refs_per_core=600,
-        )
-        assert set(out) == {"a", "b"}
-        assert set(out["a"]) == {"non-inclusive"}
 
     def test_multithreaded_builder(self, small_system):
         r = run_one(

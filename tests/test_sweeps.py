@@ -136,3 +136,42 @@ class TestLoadCSVHardening:
         path = self.write(tmp_path, self.GOOD)
         with pytest.raises(AnalysisError, match="on_error"):
             load_csv(path, on_error="ignore")
+
+
+class TestInterruptedGrids:
+    """A batch cut short by Ctrl-C reaches the caller of a grid runner
+    as the interrupt, never as a grid with cells missing."""
+
+    @pytest.fixture(autouse=True)
+    def interrupt_second_job(self, monkeypatch):
+        from repro.exec import JobSpec
+
+        calls = {"n": 0}
+        real_run = JobSpec.run
+
+        def run(self):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise KeyboardInterrupt
+            return real_run(self)
+
+        monkeypatch.setattr(JobSpec, "run", run)
+
+    def test_sweep(self):
+        with pytest.raises(KeyboardInterrupt):
+            small_sweep(refs=404).run()
+
+    def test_run_policies(self):
+        from repro.sim.runner import run_policies
+
+        system = SystemConfig.scaled(ncores=2, llc_kb=32, l2_kb=4)
+        with pytest.raises(KeyboardInterrupt):
+            run_policies(
+                system, ("non-inclusive", "lap"), duplicate_builder("mcf", ncores=2), 404
+            )
+
+    def test_figure_grid(self):
+        import repro.analysis.figures as F
+
+        with pytest.raises(KeyboardInterrupt):
+            F.fig18_mpki(refs=404, mixes=("WL3",))
