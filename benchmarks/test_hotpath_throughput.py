@@ -80,13 +80,13 @@ def measure_grid() -> dict:
         for policy in POLICIES
     }
 
-    # Telemetry-idle guard: with repro.telemetry fully imported and a
+    # Telemetry-idle guard: with repro.obs fully imported and a
     # live metrics registry installed — but no TraceProbe attached and
     # nothing recording — the probe-free generic hot path must be
     # unchanged. Metrics reporting is edge-triggered (once per run in
-    # finish()), so this measures that the telemetry layer stays off
+    # finish()), so this measures that the observability layer stays off
     # the per-access path entirely.
-    from repro.telemetry import MetricsRegistry, set_registry
+    from repro.obs import MetricsRegistry, set_registry
 
     probe_free_system = system.probe_free()
     previous = set_registry(MetricsRegistry())

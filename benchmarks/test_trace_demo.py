@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from repro.sim.system import SystemConfig
-from repro.telemetry import diff_traces, record_simulation
+from repro.obs import diff_traces, record_simulation
 
 WORKLOAD = "WL1"
 REFS = 2_000

@@ -32,15 +32,14 @@ on first append: the old record moves under ``"legacy"``.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from .sim.simulator import Simulator
 from .sim.system import SystemConfig
+from .utils import atomic_write
 
 #: the kernel-eligible policies the hot-path bench tracks by default —
 #: one per batched-kernel mode (non-inclusion, exclusion, LAP).
@@ -146,31 +145,19 @@ def load_bench_file(path: Union[str, Path]) -> dict:
     return data
 
 
-#: Per-process uniquifier for bench temp files (same pattern as the
-#: result cache's atomic writes).
-_tmp_counter = itertools.count()
-
-
 def append_entry(path: Union[str, Path], entry: dict) -> dict:
     """Append one bench entry to ``path`` and return the full document.
 
-    The write is crash-safe: the new document lands in a unique temp
-    file in the same directory and is moved over the old one with
-    ``os.replace``, so an interrupted bench run (ctrl-C, OOM-kill mid
-    ``write_text``) can truncate the temp file but never the history —
+    The write is crash-safe (:func:`~repro.utils.atomic_write`), so an
+    interrupted bench run (ctrl-C, OOM-kill mid-write) can lose the
+    temp file but never the history —
     ``BENCH_hotpath.json`` is the repo's only append-only perf record
     and a half-written JSON file would lose every prior entry.
     """
     path = Path(path)
     data = load_bench_file(path)
     data["entries"].append(entry)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_tmp_counter)}.tmp")
-    try:
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-        raise
+    atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
     return data
 
 

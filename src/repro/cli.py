@@ -62,7 +62,7 @@ Every command accepts ``--refs``, ``--seed`` and system-shape flags so
 sweeps can be scripted from the shell; all output is plain ASCII.
 
 Four *global* options (they precede the subcommand) drive the
-execution engine and telemetry: ``--jobs N`` fans grid commands out
+execution engine and observability: ``--jobs N`` fans grid commands out
 over N worker processes, ``--cache-dir PATH`` memoises every
 spec-described simulation in a content-addressed on-disk cache
 (``$REPRO_CACHE_DIR`` is honoured when the flag is absent),
@@ -85,7 +85,7 @@ from typing import Optional, Sequence
 from . import make_workload
 from .analysis import classify_wl_wh, favors_exclusion, render_mapping_table, render_table
 from .energy import SRAM, STT_RAM
-from .errors import ReproError
+from .errors import ReproError, TelemetryError
 from .exec import (
     ResultCache,
     WorkloadSpec,
@@ -93,7 +93,18 @@ from .exec import (
     get_active_cache,
     set_active_cache,
 )
+from .obs import (
+    SpanRecorder,
+    diff_traces,
+    get_registry,
+    install_recorder,
+    record_simulation,
+    recorder_from_env,
+    summarize_trace,
+    uninstall_recorder,
+)
 from .sim import SystemConfig, run_policies
+from .utils import atomic_write
 from .workloads import PARSEC_ORDER, TABLE3_ORDER, benchmark_names
 
 FIGURES = {
@@ -487,8 +498,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 # trace: the flight recorder
 # ----------------------------------------------------------------------
 def _cmd_trace_record(args: argparse.Namespace) -> int:
-    from .telemetry import record_simulation, summarize_trace
-
     system = _system_from(args)
     record_simulation(
         args.out,
@@ -512,8 +521,6 @@ def _summary_rows(summary) -> list:
 
 
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
-    from .telemetry import summarize_trace
-
     summary = summarize_trace(args.path)
     if args.json:
         print(json.dumps(summary.as_dict(), indent=2, sort_keys=True))
@@ -528,8 +535,6 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
-    from .telemetry import diff_traces
-
     diff = diff_traces(args.left, args.right)
     if args.json:
         print(json.dumps(diff.as_dict(), indent=2, sort_keys=True))
@@ -1318,13 +1323,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        from .obs.spans import (
-            SpanRecorder,
-            install_recorder,
-            recorder_from_env,
-            uninstall_recorder,
-        )
-
         spans_path = getattr(args, "spans", None)
         if spans_path:
             recorder = SpanRecorder()
@@ -1348,13 +1346,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           f"({len(recorder)} spans)", file=sys.stderr)
                 uninstall_recorder()
             if getattr(args, "metrics", None):
-                from .telemetry import get_registry
-
-                import pathlib
-
-                pathlib.Path(args.metrics).write_text(
-                    get_registry().snapshot_json() + "\n"
-                )
+                try:
+                    atomic_write(args.metrics, get_registry().snapshot_json() + "\n")
+                except OSError as exc:
+                    raise TelemetryError(
+                        f"cannot write metrics snapshot {args.metrics}: {exc}"
+                    ) from None
                 print(f"metrics snapshot written to {args.metrics}", file=sys.stderr)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,7 +87,7 @@ class BackpressureError(ServeError):
 
 
 class TelemetryError(ReproError):
-    """The observability layer failed (``repro.telemetry``).
+    """The observability layer failed (``repro.obs``).
 
     Raised for unwritable or malformed trace files (bad header,
     truncated stream, unknown event type), metric name/type collisions

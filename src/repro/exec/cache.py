@@ -24,7 +24,6 @@ no-op.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import pathlib
@@ -33,6 +32,7 @@ from typing import Dict, Optional, Union
 
 from ..errors import ExecutionError
 from ..sim.results import RunResult
+from ..utils import atomic_write
 from .jobs import CACHE_SCHEMA_VERSION, JobSpec
 from .serialize import result_from_dict, result_to_dict
 
@@ -41,12 +41,6 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024  # 512 MiB of JSON ≈ hundreds of thousan
 # Environment variable consulted by :func:`cache_from_env` (the CLI and
 # the benchmark harness both honour it).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-# Distinguishes concurrent in-process writers (serve worker threads)
-# sharing one pid; combined with the pid it makes temp names unique
-# across processes sharing a cache directory.
-_tmp_counter = itertools.count()
-
 
 @dataclass
 class ResultCacheStats:
@@ -107,7 +101,7 @@ class ResultCache:
         """Only content-addressed files (64-hex stems) are cache entries.
 
         The run manifest (``manifest.json``, see
-        :mod:`repro.telemetry.profiling`) and any other stray files in
+        :mod:`repro.obs.profiling`) and any other stray files in
         the cache directory must never be counted, evicted, or cleared.
         """
         stem = path.stem
@@ -162,15 +156,9 @@ class ResultCache:
             "result": result_to_dict(result),
         }
         path = self._path(key)
-        # Process- and thread-unique temp name: concurrent writers of
-        # the same key must never interleave bytes in a shared temp
-        # file. The leading dot keeps it out of the ``*.json`` walks.
-        tmp = self.root / f".{key}.{os.getpid()}.{next(_tmp_counter)}.tmp"
         try:
-            tmp.write_text(json.dumps(payload))
-            os.replace(tmp, path)
+            atomic_write(path, json.dumps(payload))
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
             raise ExecutionError(f"cannot write cache entry {path}: {exc}") from None
         self.puts += 1
         self._enforce_cap(protect=path)

@@ -9,10 +9,10 @@ order, so parallel sweeps are record-for-record identical to serial ones.
 
 The return value is an :class:`ExecutionOutcome` — a list of
 :class:`RunResult` (so every existing caller keeps working) that also
-carries one :class:`~repro.telemetry.profiling.JobProfile` per job
+carries one :class:`~repro.obs.profiling.JobProfile` per job
 (wall time, throughput, retries, provenance, peak RSS) plus cache
 hit/miss totals, and can roll them up into a
-:class:`~repro.telemetry.profiling.RunManifest`. Pass ``manifest_dir``
+:class:`~repro.obs.profiling.RunManifest`. Pass ``manifest_dir``
 to have the manifest written as ``manifest.json`` (a sweep run with a
 cache does this automatically, next to the cached results), and
 ``heartbeat_interval`` to get rate-limited progress lines on stderr
@@ -35,7 +35,8 @@ the serve daemon inherit their host's signal handling untouched).
 
 Workers serialise results with :mod:`repro.exec.serialize` rather than
 pickling :class:`RunResult` objects, so the parallel path returns
-byte-identical data to the cache path.
+byte-identical data to the cache path. They also ship each job's spans
+and metric deltas back, so a pooled run records what a serial one does.
 """
 
 from __future__ import annotations
@@ -49,17 +50,24 @@ import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ExecutionError, ReproError
-from ..obs.spans import current_recorder, span, tracing_enabled
-from ..sim.results import RunResult
-from ..telemetry.profiling import (
+from ..obs import (
     SOURCE_CACHE,
     SOURCE_POOL,
     SOURCE_SERIAL,
     Heartbeat,
     JobProfile,
+    MetricsRegistry,
     RunManifest,
+    SpanRecorder,
+    current_recorder,
+    get_registry,
+    install_recorder,
     peak_rss_kb,
+    set_registry,
+    span,
+    tracing_enabled,
 )
+from ..sim.results import RunResult
 from .cache import ResultCache
 from .jobs import JobSpec
 from .serialize import result_from_dict, result_to_dict
@@ -93,31 +101,46 @@ class ExecutionOutcome(List[RunResult]):
 
     @property
     def cache_hits(self) -> int:
-        return sum(1 for p in self.profiles if p.source == SOURCE_CACHE)
+        return self.manifest().cache_hits
 
     @property
     def cache_misses(self) -> int:
-        return sum(1 for p in self.profiles if p.source != SOURCE_CACHE)
+        return self.manifest().cache_misses
 
     def manifest(self) -> RunManifest:
         return RunManifest(
             jobs=list(self.profiles), max_workers=self.max_workers, wall_s=self.wall_s
         )
 
-    def write_manifest(self, target: Union[str, pathlib.Path]) -> pathlib.Path:
-        """Write ``manifest.json`` (``target`` may be a directory)."""
-        return self.manifest().write(target)
+
+def _init_worker(tracing: bool) -> None:
+    """Pool initializer: drop the registry and span recorder a forked
+    worker inherits; record afresh (spans only if the parent traces)."""
+    set_registry(MetricsRegistry())
+    if tracing:
+        install_recorder(SpanRecorder())
 
 
 def _run_job_dict(job: JobSpec) -> Dict[str, Any]:
-    """Worker entry point: run one job, return its serialised result
-    plus the worker-side profile facts (wall time, peak RSS)."""
+    """Worker entry point: run one job, return its serialised result,
+    wall time and peak RSS, plus its spans and metric deltas (the
+    registry is reset after each snapshot)."""
     start = time.perf_counter()
-    result = job.run()
+    registry = get_registry()
+    recorder = current_recorder()
+    try:
+        with span("exec.job", policy=job.policy, workload=job.workload.label):
+            result = job.run()
+    finally:  # a failed job's records must not ride along with the next job
+        metrics = registry.snapshot()
+        registry.reset()
+        spans = recorder.drain() if recorder is not None else []
     return {
         "result": result_to_dict(result),
         "wall_s": time.perf_counter() - start,
         "peak_rss_kb": peak_rss_kb(),
+        "spans": spans,
+        "metrics": metrics,
     }
 
 
@@ -308,7 +331,7 @@ def execute_jobs(
     if jobs:
         pulse.final(len(completed), cached_count)
     if manifest_dir is not None:
-        outcome.write_manifest(manifest_dir)
+        outcome.manifest().write(manifest_dir)
         if tracing_enabled():
             # The span dump rides next to the manifest so the ledger
             # scanner finds both in one pass. Dumping the whole
@@ -322,15 +345,14 @@ def execute_jobs(
 
 def _report_metrics(outcome: ExecutionOutcome) -> None:
     """Pool roll-ups into the process metrics registry (once per batch)."""
-    from ..telemetry.metrics import get_registry
-
+    manifest = outcome.manifest()
     registry = get_registry()
     registry.counter("exec.jobs").inc(len(outcome))
     if outcome.interrupted:
         registry.counter("exec.interrupted").inc()
-    registry.counter("exec.cache_hits").inc(outcome.cache_hits)
-    registry.counter("exec.cache_misses").inc(outcome.cache_misses)
-    registry.counter("exec.retries").inc(sum(p.retries for p in outcome.profiles))
+    registry.counter("exec.cache_hits").inc(manifest.cache_hits)
+    registry.counter("exec.cache_misses").inc(manifest.cache_misses)
+    registry.counter("exec.retries").inc(manifest.total_retries)
     job_wall = registry.histogram("exec.job_wall_s")
     for profile in outcome.profiles:
         if profile.source != SOURCE_CACHE:
@@ -352,7 +374,10 @@ def _execute_pooled(
     ``profiles`` in place; False (nothing run) when no pool starts."""
     workers = min(max_workers, len(misses))
     try:
-        pool = cf.ProcessPoolExecutor(max_workers=workers)
+        pool = cf.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker,
+            initargs=(tracing_enabled(),),
+        )
     except (OSError, ValueError, RuntimeError):
         # Pool cannot start (sandboxed environment, missing semaphores,
         # spawn failure): the caller degrades to serial execution.
@@ -375,6 +400,10 @@ def _execute_pooled(
                 profile.retries = retries - retry_budget[i]
                 profile.peak_rss_kb = payload.get("peak_rss_kb")
                 profiles[i] = profile
+                get_registry().merge(payload["metrics"])
+                recorder = current_recorder()
+                if recorder is not None:
+                    recorder.adopt(payload["spans"], index=i)
             except ReproError:
                 raise  # deterministic library failure: retrying is pointless
             except cf.TimeoutError:

@@ -402,7 +402,7 @@ class CacheHierarchy:
         self._finished = True
         self.probe_bus.finish()
         self.policy.end_of_run()
-        from ..telemetry.metrics import get_registry
+        from ..obs import get_registry
 
         registry = get_registry()
         registry.counter("hierarchy.runs").inc()

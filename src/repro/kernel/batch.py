@@ -65,7 +65,7 @@ import numpy as np
 
 from ..core.lap import LAPPolicy
 from ..inclusion.traditional import ExclusivePolicy, NonInclusivePolicy
-from ..obs.spans import start_span
+from ..obs import span
 
 MODE_NONI = 0
 MODE_EX = 1
@@ -256,7 +256,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     # Explicit-finish span handles (not ``with`` blocks): the three
     # kernel phases are flat several-hundred-line regions and spans are
     # per-phase, never per-reference, so the hot loop stays untouched.
-    checkout_span = start_span("kernel.checkout", ncores=ncores)
+    checkout_span = span("kernel.checkout", ncores=ncores)
     l1_st = [_checkout(c) for c in h.l1s]
     l2_st = [_checkout(c) for c in h.l2s]
     ll_st = _checkout(llc)
@@ -376,7 +376,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     ]
 
     core_instr = [0.0] * ncores
-    loop_span = start_span(
+    loop_span = span(
         "kernel.batch_loop", refs_per_core=refs_per_core, batch=batch
     )
     remaining = refs_per_core
@@ -780,7 +780,7 @@ def run_kernel(sim, refs_per_core: int, batch: int) -> List[float]:
     loop_span.finish()
 
     # ---- checkin: maps, state, ticks, stats --------------------------
-    checkin_span = start_span("kernel.checkin", ncores=ncores)
+    checkin_span = span("kernel.checkin", ncores=ncores)
     for core in range(ncores):
         l1_st[core]["maps"] = _unflatten_maps(
             m1_flat[core], h.l1s[core].num_sets, l1_mask, l1_idx_bits

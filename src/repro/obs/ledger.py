@@ -1,6 +1,6 @@
 """The run ledger: one normalized view over result-cache directories.
 
-A sweep leaves its telemetry scattered: ``manifest.json`` (per-job
+A sweep leaves its records scattered: ``manifest.json`` (per-job
 profiles), content-addressed ``<sha256>.json`` result entries (the job
 spec *and* its full metrics), ``spans.jsonl`` (the span trace), and any
 ``*.metrics.json`` / ``metrics.json`` registry snapshots written by
@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..errors import TelemetryError
-from ..telemetry.profiling import MANIFEST_NAME
+from .profiling import MANIFEST_NAME, SOURCE_CACHE, JobProfile
 from .spans import SPANS_NAME, read_spans
 
 LEDGER_SCHEMA = 1
@@ -63,20 +63,7 @@ class LedgerRow:
         return bool(self.metrics)
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "workload": self.workload,
-            "policy": self.policy,
-            "system": self.system,
-            "refs_per_core": self.refs_per_core,
-            "source": self.source,
-            "wall_s": self.wall_s,
-            "accesses": self.accesses,
-            "accesses_per_s": self.accesses_per_s,
-            "retries": self.retries,
-            "cache_dir": self.cache_dir,
-            "metrics": dict(self.metrics),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -109,7 +96,7 @@ class RunLedger:
         return sum(r.retries for r in self.rows)
 
     def simulated_accesses(self) -> int:
-        return sum(r.accesses for r in self.rows if r.source not in ("cache", "disk"))
+        return sum(r.accesses for r in self.rows if r.source not in (SOURCE_CACHE, "disk"))
 
     def total_wall_s(self) -> float:
         return sum(r.wall_s for r in self.rows)
@@ -117,7 +104,7 @@ class RunLedger:
     def cache_hit_share(self) -> Optional[float]:
         if not self.rows:
             return None
-        hits = sum(1 for r in self.rows if r.source == "cache")
+        hits = sum(1 for r in self.rows if r.source == SOURCE_CACHE)
         return hits / len(self.rows)
 
     def grid(self, metric: str) -> Dict[str, Dict[str, float]]:
@@ -170,29 +157,30 @@ def _scan_manifest(root: pathlib.Path, ledger: RunLedger,
         return
     try:
         data = json.loads(path.read_text())
-        jobs = data.get("jobs", [])
+        jobs = data.get("jobs", []) if isinstance(data, dict) else None
         if not isinstance(jobs, list):
             raise ValueError("manifest jobs is not a list")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         ledger.problems.append(f"{path}: unreadable manifest ({exc})")
         return
     ledger.manifests += 1
-    for job in jobs:
-        if not isinstance(job, dict) or "key" not in job:
-            ledger.problems.append(f"{path}: malformed job profile entry")
+    for n, job in enumerate(jobs):
+        try:
+            profile = JobProfile.from_dict(job)
+        except TelemetryError as exc:
+            ledger.problems.append(f"{path}: job entry {n}: {exc}")
             continue
-        key = str(job["key"])
-        row = rows.get(key)
+        row = rows.get(profile.key)
         if row is None:
-            row = rows[key] = LedgerRow(key=key, cache_dir=str(root))
-        row.workload = job.get("workload", row.workload)
-        row.policy = job.get("policy", row.policy)
-        row.system = job.get("system", row.system)
-        row.source = job.get("source", row.source)
-        row.wall_s = float(job.get("wall_s", row.wall_s))
-        row.accesses = int(job.get("accesses", row.accesses))
-        row.accesses_per_s = float(job.get("accesses_per_s", row.accesses_per_s))
-        row.retries = int(job.get("retries", row.retries))
+            row = rows[profile.key] = LedgerRow(key=profile.key, cache_dir=str(root))
+        row.workload = profile.workload
+        row.policy = profile.policy
+        row.system = profile.system
+        row.source = profile.source
+        row.wall_s = profile.wall_s
+        row.accesses = profile.accesses
+        row.accesses_per_s = profile.accesses_per_s
+        row.retries = profile.retries
 
 
 def _scan_entries(root: pathlib.Path, ledger: RunLedger,

@@ -26,7 +26,7 @@ import re
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from ..errors import TelemetryError
-from ..telemetry.metrics import (
+from .metrics import (
     BUCKET_BOUNDS,
     BUCKET_LABELS,
     OVERFLOW_LABEL,

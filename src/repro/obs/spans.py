@@ -20,10 +20,12 @@ Usage::
 
 The recorder is process-global and thread-safe; each thread keeps its
 own parent stack, so spans opened on the serve event loop, a worker
-thread, and the main thread never mis-parent each other. The execution
-pool dumps the recorder next to ``manifest.json`` (as ``spans.jsonl``)
-whenever tracing is on, and the CLI's global ``--spans PATH`` turns
-tracing on for any command.
+thread, and the main thread never mis-parent each other. Pool workers
+record into their own recorder and ship each job's spans back, where
+:meth:`SpanRecorder.adopt` grafts them under the parent's batch. The
+execution pool dumps the recorder next to ``manifest.json`` (as
+``spans.jsonl``) whenever tracing is on, and the CLI's global
+``--spans PATH`` turns tracing on for any command.
 
 Dump format is one JSON object per line::
 
@@ -43,6 +45,7 @@ import time
 from typing import Any, Dict, List, Optional, Union
 
 from ..errors import TelemetryError
+from ..utils import atomic_write
 
 #: File name a span dump takes when written next to a run manifest.
 SPANS_NAME = "spans.jsonl"
@@ -83,7 +86,7 @@ class SpanRecorder:
         stack = self._stack()
         # Pop by identity, not position: an abandoned child (exception
         # that skipped its finish) must not mis-parent later spans.
-        with _suppress_value_error():
+        if record["id"] in stack:
             stack.remove(record["id"])
         with self._lock:
             self._finished.append(record)
@@ -91,6 +94,21 @@ class SpanRecorder:
     def current_parent(self) -> Optional[int]:
         stack = self._stack()
         return stack[-1] if stack else None
+
+    def adopt(self, spans: List[Dict[str, Any]], **root_attrs: Any) -> None:
+        """Graft spans finished in another process (a pool worker's job)
+        into this recorder: fresh ids, and the foreign roots re-parented
+        under the calling thread's open span with ``root_attrs`` added."""
+        ids = {s["id"]: next(self._ids) for s in spans}
+        parent = self.current_parent()
+        adopted = []
+        for s in spans:
+            record = dict(s, id=ids[s["id"]], parent=ids.get(s["parent"], parent))
+            if s["parent"] not in ids:
+                record["attrs"] = {**s["attrs"], **root_attrs}
+            adopted.append(record)
+        with self._lock:
+            self._finished.extend(adopted)
 
     # ------------------------------------------------------------------
     # reading the record
@@ -114,9 +132,9 @@ class SpanRecorder:
         """Write every finished span (so far) as JSONL to ``path``.
 
         A directory target gets ``spans.jsonl`` inside it. The write is
-        whole-file (temp + ``os.replace``) so a reader never observes a
-        half-written dump, and repeated dumps of a growing recorder
-        supersede each other cleanly.
+        atomic (:func:`~repro.utils.atomic_write`) so a reader never
+        observes a half-written dump, and repeated dumps of a growing
+        recorder supersede each other cleanly.
         """
         path = pathlib.Path(path)
         if path.is_dir():
@@ -128,24 +146,11 @@ class SpanRecorder:
             json.dumps(s, sort_keys=True, default=str) + "\n"
             for s in self.spans()
         )
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(lines)
-            os.replace(tmp, path)
+            atomic_write(path, lines)
         except OSError as exc:
-            tmp.unlink(missing_ok=True)
             raise TelemetryError(f"cannot write span dump {path}: {exc}") from None
         return path
-
-
-class _suppress_value_error:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return exc_type is ValueError
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +273,9 @@ Span = Union[_NullSpan, _LiveSpan]
 
 
 def span(name: str, **attrs: Any) -> Span:
-    """Open a span named ``name``; use as a context manager.
+    """Open a span named ``name``; use as a context manager, or keep the
+    handle and call ``.finish()`` where a ``with`` block is impractical
+    (the kernel's flat checkout→batch→checkin sections).
 
     When tracing is off this returns a shared no-op object — the cost
     is one global read and one ``is None`` test, which is why spans are
@@ -279,13 +286,6 @@ def span(name: str, **attrs: Any) -> Span:
     if recorder is None:
         return _NULL
     return _LiveSpan(recorder, name, attrs)
-
-
-def start_span(name: str, **attrs: Any) -> Span:
-    """Explicit-handle twin of :func:`span` for regions where a ``with``
-    block is impractical (the kernel's flat checkout→batch→checkin
-    sections); call ``.finish()`` when the region ends."""
-    return span(name, **attrs)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Deque, Dict, List, Optional
 
 from ..errors import ServeError
 from ..exec.jobs import JobSpec
-from ..telemetry.metrics import get_registry
+from ..obs import get_registry
 from .protocol import STATE_QUEUED
 
 DEFAULT_QUEUE_LIMIT = 256

@@ -43,10 +43,7 @@ from ..exec.cache import ResultCache
 from ..exec.jobs import JobSpec
 from ..exec.pool import execute_jobs
 from ..exec.serialize import result_to_dict
-from ..obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
-from ..obs.prom import render_prometheus
-from ..obs.spans import span
-from ..telemetry.metrics import get_registry
+from ..obs import PROM_CONTENT_TYPE, get_registry, render_prometheus, span
 from .protocol import (
     ERROR_BACKPRESSURE,
     ERROR_BAD_REQUEST,

@@ -20,7 +20,7 @@ from ..hierarchy.hierarchy import CacheHierarchy
 from ..inclusion.base import InclusionPolicy
 from ..instr import Probe
 from ..kernel import batch as _batch
-from ..obs.spans import span
+from ..obs import get_registry, span
 from ..workloads.mixes import MULTITHREADED, Workload
 from .results import RunResult
 from .system import SystemConfig
@@ -129,8 +129,6 @@ class Simulator:
 
     def _report_metrics(self, wall_s: float) -> None:
         """Once-per-run roll-ups into the process metrics registry."""
-        from ..telemetry.metrics import get_registry
-
         registry = get_registry()
         registry.counter("sim.runs").inc()
         registry.counter("sim.accesses").inc(self.hierarchy.stats.accesses)

@@ -16,7 +16,6 @@ the suite's baseline policy (the first one).
 
 from __future__ import annotations
 
-import pathlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -25,9 +24,9 @@ from ..errors import AnalysisError, ReproError
 from ..exec.cache import ResultCache
 from ..exec.jobs import JobSpec, WorkloadSpec
 from ..exec.pool import execute_jobs
+from ..obs import JobProfile, RunManifest, get_registry
 from ..sim.results import RunResult
 from ..sim.system import SystemConfig
-from ..telemetry.profiling import JobProfile, RunManifest
 from ..utils import geometric_mean
 from ..workloads.corpus import TraceCorpus, active_corpus, set_active_corpus
 from .registry import TRACE, BenchmarkSet, resolve
@@ -95,12 +94,12 @@ class SuiteReport:
 
     @property
     def cache_hits(self) -> int:
-        return sum(1 for p in self.profiles if p.source == "cache")
+        return self.manifest().cache_hits
 
     @property
     def simulated(self) -> int:
         """Jobs that actually ran (pool or serial, not cache)."""
-        return sum(1 for p in self.profiles if p.source != "cache")
+        return self.manifest().cache_misses
 
     def manifest(self) -> RunManifest:
         return RunManifest(
@@ -157,13 +156,12 @@ def run_suite(
     corpus is given) or a :class:`BenchmarkSet` instance. Each member's
     policy batch goes through :func:`execute_jobs`, inheriting pool
     fan-out and the result cache; a member that raises records its
-    error and the suite continues. When a cache is present the merged
+    error and the suite continues. With a directory cache the merged
     manifest (every member's job profiles) is written next to the
     cached results, so ``repro report`` picks suite runs up like any
-    sweep.
+    sweep; a memory-only cache has nowhere to put one.
     """
     from ..arena import registry as arena_registry
-    from ..telemetry.metrics import get_registry
 
     if corpus is None:
         corpus = active_corpus()  # the $REPRO_CORPUS_DIR channel
@@ -227,6 +225,6 @@ def run_suite(
     metrics = get_registry()
     metrics.counter("suite.benchmarks").inc(len(outcomes))
     metrics.counter("suite.failures").inc(len(report.failures))
-    if cache is not None and profiles:
-        report.manifest().write(pathlib.Path(cache.root))
+    if cache is not None and cache.root is not None and profiles:
+        report.manifest().write(cache.root)
     return report

@@ -1,4 +1,5 @@
-"""Small shared helpers: power-of-two math, validation, formatting.
+"""Small shared helpers: power-of-two math, validation, formatting,
+atomic file writes.
 
 These utilities are deliberately dependency-free so every subpackage can
 import them without cycles.
@@ -6,7 +7,10 @@ import them without cycles.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import itertools
+import os
+import pathlib
+from typing import Iterable, Sequence, Union
 
 from .errors import ConfigurationError
 
@@ -98,3 +102,30 @@ def fmt_bytes(num_bytes: int) -> str:
             return f"{value:.1f}{unit}".replace(".0", "")
         value /= 1024
     raise AssertionError("unreachable")
+
+
+#: With the pid, keeps concurrent writers (threads, processes sharing a
+#: directory) from ever sharing a temp file.
+_tmp_counter = itertools.count()
+
+
+def atomic_write(path: Union[str, pathlib.Path], data: Union[str, bytes]) -> pathlib.Path:
+    """Replace ``path`` with ``data`` (text or bytes) in one step.
+
+    ``data`` goes to a unique dot-named ``.tmp`` file next to ``path``
+    (out of ``*.json`` walks), then ``os.replace`` moves it over
+    ``path``: a reader sees the old file or the new one, never a torn
+    one. On failure the temp file is removed and the error propagates.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_tmp_counter)}.tmp")
+    try:
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path

@@ -28,11 +28,11 @@ import hashlib
 import json
 import os
 import pathlib
-import shutil
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import WorkloadError
+from ..utils import atomic_write
 from .trace import TraceGenerator
 from .tracefile import (
     ReplayTrace,
@@ -145,10 +145,7 @@ class TraceCorpus:
             ],
         }
         self.root.mkdir(parents=True, exist_ok=True)
-        manifest = self.root / MANIFEST_NAME
-        tmp = manifest.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, manifest)
+        atomic_write(self.root / MANIFEST_NAME, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     # ------------------------------------------------------------------
     # lookup
@@ -221,9 +218,7 @@ class TraceCorpus:
             return existing
         target = self.object_path(digest)
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_suffix(f".tmp.{os.getpid()}")
-        shutil.copyfile(info.path, tmp)
-        os.replace(tmp, target)
+        atomic_write(target, info.path.read_bytes())
         entry = CorpusEntry(
             digest=digest,
             name=name or info.name,

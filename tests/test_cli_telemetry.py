@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.telemetry import MANIFEST_NAME, RunManifest
+from repro.obs import MANIFEST_NAME, RunManifest
 
 SMALL = ["--refs", "250", "--ncores", "2", "--llc-kb", "32", "--l2-kb", "4"]
 
@@ -30,7 +30,7 @@ class TestTraceRecord:
         code = main(["trace", "record", "mcf", "non-inclusive",
                      "--out", str(out), "--events", "llc_fill", *SMALL])
         assert code == 0
-        from repro.telemetry import read_events
+        from repro.obs import read_events
 
         names = {type(e).__name__ for e in read_events(out)}
         assert names == {"LlcFillEvent"}
@@ -123,6 +123,12 @@ class TestMetricsFlag:
         assert payload["counters"]["sim.runs"] >= 1
         assert payload["counters"]["hierarchy.accesses"] >= 1
         assert "metrics snapshot written" in capsys.readouterr().err
+
+    def test_unwritable_metrics_path_fails_cleanly(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "metrics.json"
+        assert main(["--metrics", str(target), "list"]) == 2
+        assert "error: cannot write metrics snapshot" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestSweepManifest:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
 from repro.sim import SystemConfig
-from repro.telemetry.profiling import RunManifest
+from repro.obs.profiling import RunManifest
 
 
 def jobs(n=3, refs=400):
@@ -103,13 +103,13 @@ class TestGracefulInterrupt:
         assert outcome.total_jobs == len(outcome) == 2
 
     def test_interrupt_counted_in_metrics(self, monkeypatch):
-        from repro.telemetry.metrics import MetricsRegistry, set_registry
+        from repro.obs.metrics import MetricsRegistry, set_registry
 
         previous = set_registry(MetricsRegistry())
         try:
             interrupt_on_call(monkeypatch, 1)
             execute_jobs(jobs(2))
-            from repro.telemetry.metrics import get_registry
+            from repro.obs.metrics import get_registry
 
             assert get_registry().counter("exec.interrupted").value == 1
         finally:

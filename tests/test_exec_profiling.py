@@ -8,7 +8,7 @@ from repro.errors import TelemetryError
 from repro.exec import ExecutionOutcome, JobSpec, ResultCache, WorkloadSpec, execute_jobs
 from repro.sim import SystemConfig
 from repro.sim.sweeps import Sweep
-from repro.telemetry import (
+from repro.obs import (
     MANIFEST_NAME,
     SOURCE_CACHE,
     SOURCE_POOL,

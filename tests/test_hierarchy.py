@@ -201,7 +201,7 @@ class TestInstrumentationPlumbing:
         """Regression: a second finish() (tests, belt-and-braces callers
         like record_simulation) used to re-report the run's totals into
         the metrics registry, double-counting every hierarchy.* metric."""
-        from repro.telemetry.metrics import get_registry
+        from repro.obs.metrics import get_registry
 
         h = build_micro("non-inclusive")
         run_refs(h, reads(A, B, C))

@@ -16,7 +16,7 @@ def sweep_dir(tmp_path_factory):
     with spans.jsonl and a metrics snapshot alongside the manifest."""
     from repro.exec import JobSpec, ResultCache, WorkloadSpec, execute_jobs
     from repro.sim import SystemConfig
-    from repro.telemetry.metrics import MetricsRegistry, set_registry
+    from repro.obs.metrics import MetricsRegistry, set_registry
 
     root = tmp_path_factory.mktemp("sweep")
     cache = ResultCache(root)
@@ -35,7 +35,7 @@ def sweep_dir(tmp_path_factory):
             for policy in ("non-inclusive", "lap")
         ]
         execute_jobs(jobs, cache=cache, manifest_dir=root)
-        from repro.telemetry.metrics import get_registry
+        from repro.obs.metrics import get_registry
 
         (root / "metrics.json").write_text(
             json.dumps(get_registry().snapshot())
@@ -115,6 +115,45 @@ class TestScan:
         assert ledger.manifests == 0
         assert all(r.source == "disk" for r in ledger.rows)
         assert all(r.has_result for r in ledger.rows)
+
+    def test_rejected_job_entry_downgrades_to_problem(self, sweep_dir, tmp_path):
+        work = tmp_path / "copy"
+        shutil.copytree(sweep_dir, work)
+        manifest = json.loads((work / "manifest.json").read_text())
+        del manifest["jobs"][0]["policy"]  # JobProfile.from_dict rejects it
+        manifest["jobs"][1]["wall_s"] = "slow"
+        manifest["jobs"].append("not a profile")
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        ledger = scan_dirs([work])
+        assert ledger.manifests == 1
+        notes = [p for p in ledger.problems if "job entry" in p]
+        assert len(notes) == 3, ledger.problems
+        assert any("'policy'" in p for p in notes)
+        # The result entries still yield all four rows; the two jobs
+        # whose profiles were rejected fall back to disk provenance.
+        assert len(ledger.rows) == 4
+        assert ledger.by_source().get("disk") == 2
+
+    def test_manifest_that_is_not_an_object_is_noted(self, sweep_dir, tmp_path):
+        work = tmp_path / "copy"
+        shutil.copytree(sweep_dir, work)
+        (work / "manifest.json").write_text("[]")
+        ledger = scan_dirs([work])
+        assert ledger.manifests == 0
+        assert any("unreadable manifest" in p for p in ledger.problems)
+        assert len(ledger.rows) == 4
+
+    def test_manifest_rows_match_job_profiles(self, sweep_dir):
+        from repro.obs import RunManifest
+
+        manifest = RunManifest.load(sweep_dir)
+        rows = {r.key: r for r in scan_dirs([sweep_dir]).rows}
+        for job in manifest.jobs:
+            row = rows[job.key]
+            assert (row.workload, row.policy, row.source, row.retries) == (
+                job.workload, job.policy, job.source, job.retries
+            )
+            assert row.accesses_per_s == job.accesses_per_s
 
     def test_multi_dir_merge(self, sweep_dir, tmp_path):
         second = tmp_path / "second"

@@ -9,7 +9,7 @@ from repro.obs.prom import (
     render_prometheus,
     sanitize_name,
 )
-from repro.telemetry.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 def populated_registry() -> MetricsRegistry:
@@ -152,7 +152,7 @@ class TestServeEndpoint:
     def test_prom_format_served_and_parses(self, tmp_path):
         from repro.exec import ResultCache
         from repro.serve import ServeConfig, ServeClient, serve_in_thread
-        from repro.telemetry.metrics import MetricsRegistry, set_registry
+        from repro.obs.metrics import MetricsRegistry, set_registry
 
         previous = set_registry(MetricsRegistry())
         try:
@@ -189,7 +189,7 @@ class TestServeEndpoint:
         import json as _json
 
         from repro.serve import ServeConfig, serve_in_thread
-        from repro.telemetry.metrics import MetricsRegistry, set_registry
+        from repro.obs.metrics import MetricsRegistry, set_registry
 
         previous = set_registry(MetricsRegistry())
         try:

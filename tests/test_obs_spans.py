@@ -14,7 +14,6 @@ from repro.obs.spans import (
     read_spans,
     recorder_from_env,
     span,
-    start_span,
     summarize_spans,
     tracing_enabled,
     uninstall_recorder,
@@ -87,7 +86,7 @@ class TestRecording:
     def test_explicit_finish_is_idempotent(self):
         rec = SpanRecorder()
         install_recorder(rec)
-        handle = start_span("kernel.checkout")
+        handle = span("kernel.checkout")
         handle.finish()
         handle.finish()
         assert len(rec) == 1
@@ -105,8 +104,8 @@ class TestRecording:
         # leave later spans claiming it as parent.
         rec = SpanRecorder()
         install_recorder(rec)
-        outer = start_span("outer")
-        start_span("abandoned")  # never finished
+        outer = span("outer")
+        span("abandoned")  # never finished
         outer.finish()
         with span("next"):
             pass

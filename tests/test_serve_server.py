@@ -28,7 +28,7 @@ def spec(seed=0, policy="lap", refs=500) -> JobSpec:
 @pytest.fixture(autouse=True)
 def fresh_registry():
     """Counter assertions need a registry this test alone writes to."""
-    from repro.telemetry.metrics import MetricsRegistry, set_registry
+    from repro.obs.metrics import MetricsRegistry, set_registry
 
     previous = set_registry(MetricsRegistry())
     yield

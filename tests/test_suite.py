@@ -114,6 +114,18 @@ class TestRunSuite:
         )
         assert (tmp_path / "cache" / "manifest.json").exists()
 
+    def test_memory_only_cache_runs_and_writes_no_manifest(
+        self, small_system, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        cache = ResultCache()
+        kwargs = dict(policies=("non-inclusive", "lap"), refs_per_core=1000, cache=cache)
+        cold = run_suite(self._tiny("bzip2"), small_system, **kwargs)
+        assert cold.ok and cold.simulated == 2
+        warm = run_suite(self._tiny("bzip2"), small_system, **kwargs)
+        assert warm.cache_hits == 2 and warm.simulated == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_policy_rejected_up_front(self, small_system):
         from repro.errors import ConfigurationError
 

@@ -1,11 +1,11 @@
-"""Tests for the metrics registry (repro.telemetry.metrics)."""
+"""Tests for the metrics registry (repro.obs.metrics)."""
 
 import json
 
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry.metrics import (
+from repro.obs.metrics import (
     BUCKET_BOUNDS,
     BUCKET_LABELS,
     OVERFLOW_LABEL,

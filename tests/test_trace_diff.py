@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.telemetry import (
+from repro.obs import (
     TraceProbe,
     diff_traces,
     record_simulation,

@@ -1,12 +1,14 @@
 """Unit tests for repro.utils."""
 
 import math
+import threading
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.utils import (
     align_down,
+    atomic_write,
     chunked,
     clamp,
     fmt_bytes,
@@ -120,3 +122,43 @@ class TestFmtBytes:
     )
     def test_formatting(self, n, expected):
         assert fmt_bytes(n) == expected
+
+
+class TestAtomicWrite:
+    def test_writes_text_and_bytes(self, tmp_path):
+        target = tmp_path / "a.json"
+        assert atomic_write(target, "{}\n") == target
+        assert target.read_text() == "{}\n"
+        atomic_write(str(target), b"\x00\x01")
+        assert target.read_bytes() == b"\x00\x01"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+    def test_failure_removes_temp_and_keeps_old_file(self, tmp_path):
+        target = tmp_path / "a.json"
+        target.write_text("old")
+        with pytest.raises(TypeError):
+            atomic_write(target, 42)  # neither text nor bytes: write fails
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
+
+    def test_failed_replace_removes_temp(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "child").write_text("x")
+        with pytest.raises(OSError):
+            atomic_write(target, "data")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_concurrent_writers_never_tear(self, tmp_path):
+        target = tmp_path / "shared.txt"
+        payloads = [str(i) * 50_000 for i in range(8)]
+        threads = [
+            threading.Thread(target=atomic_write, args=(target, text))
+            for text in payloads
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert target.read_text() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["shared.txt"]
