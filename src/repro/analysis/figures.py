@@ -63,10 +63,7 @@ def _grid(
         for system, workload in cells.values()
         for p in policies
     ]
-    outcome = execute_jobs(jobs, cache=get_active_cache() or _MEMO)
-    if outcome.interrupted:
-        raise KeyboardInterrupt
-    results = iter(outcome)
+    results = iter(execute_jobs(jobs, cache=get_active_cache() or _MEMO))
     return {cell: {p: next(results) for p in policies} for cell in cells}
 
 

@@ -6,8 +6,8 @@ Two things live here:
   :mod:`~repro.arena.catalog`): the single source of truth for which
   inclusion policies exist, how to build them, and what each one
   claims — source paper + anchor, data-flow rules, invariant coverage,
-  batched-kernel eligibility, and curated-set membership (``repro check``
-  default, ``--arena`` grid);
+  and curated-set membership (``repro check`` default, ``--arena``
+  grid);
 - the **arena rivals**: mechanisms from papers other than LAP, riding
   the same :class:`~repro.inclusion.base.InclusionPolicy` protocol and
   probe bus so they face the same invariants and differential laws as

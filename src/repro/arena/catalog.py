@@ -14,7 +14,7 @@ harness's default set reads in this order.
 
 from __future__ import annotations
 
-from .registry import BATCHED, GENERIC, PolicyEntry, register
+from .registry import PolicyEntry, register
 
 _LAP_PAPER = "LAP (Cheng et al., ISCA 2016)"
 
@@ -25,7 +25,6 @@ register(PolicyEntry(
     paper=_LAP_PAPER,
     anchor="Fig. 1a",
     rules="miss fills LLC; LLC evictions back-invalidate L1/L2; clean victims dropped",
-    kernel=GENERIC,
     check_default=True,
     events=("llc_fill", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("inclusion",),
@@ -38,7 +37,6 @@ register(PolicyEntry(
     anchor="Fig. 1b, Table IV",
     rules="miss fills LLC; clean victims dropped; dirty victims insert/update",
     aliases=("noni",),
-    kernel=BATCHED,
     check_default=True,
     events=("llc_fill", "dirty_victim", "llc_evict", "mem_writeback"),
 ))
@@ -50,7 +48,6 @@ register(PolicyEntry(
     anchor="Fig. 1c, Table IV",
     rules="no fill; hit invalidates LLC copy; every L2 victim inserted",
     aliases=("ex",),
-    kernel=BATCHED,
     check_default=True,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("exclusion", "no-fill"),
@@ -62,7 +59,6 @@ register(PolicyEntry(
     paper="FLEXclusion (Sim et al., ISCA 2012) via " + _LAP_PAPER,
     anchor="Table IV",
     rules="set-dueling flips the whole LLC between noni and ex data flows",
-    kernel=GENERIC,
     check_default=True,
     events=("llc_fill", "clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
 ))
@@ -73,7 +69,6 @@ register(PolicyEntry(
     paper=_LAP_PAPER,
     anchor="Table IV",
     rules="like flexclusion but the duel counts LLC writes, not misses",
-    kernel=GENERIC,
     check_default=True,
     events=("llc_fill", "clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
 ))
@@ -86,7 +81,6 @@ register(PolicyEntry(
     rules="no fill; no hit-invalidation; clean victims insert only when "
           "no duplicate; loop-bit set-dueling picks LRU vs loop-aware",
     defaults=(("replacement_mode", "duel"),),
-    kernel=BATCHED,
     check_default=True,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -99,7 +93,6 @@ register(PolicyEntry(
     anchor="§III-B, Fig. 9",
     rules="LAP data flow; replacement pinned to LRU",
     defaults=(("replacement_mode", "lru"),),
-    kernel=BATCHED,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
 ))
@@ -111,7 +104,6 @@ register(PolicyEntry(
     anchor="§III-B, Fig. 10",
     rules="LAP data flow; replacement pinned to loop-aware victim selection",
     defaults=(("replacement_mode", "loop"),),
-    kernel=BATCHED,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
 ))
@@ -123,7 +115,6 @@ register(PolicyEntry(
     anchor="§III-B (baseline generality)",
     rules="LAP data flow; duel baseline is SRRIP-HP instead of LRU",
     defaults=(("replacement_mode", "duel"), ("baseline", "srrip")),
-    kernel=GENERIC,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -137,7 +128,6 @@ register(PolicyEntry(
     rules="LAP flow on a hybrid LLC; write-hit invalidation, loop→STT "
           "placement, non-loop→SRAM placement",
     defaults=(("winv", True), ("loop_stt", True), ("nloop_sram", True)),
-    kernel=GENERIC,
     hybrid_only=True,
     check_default=True,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
@@ -151,7 +141,6 @@ register(PolicyEntry(
     anchor="§IV-A, Fig. 25",
     rules="LAP flow; store hits to STT-resident lines invalidate and redirect",
     defaults=(("winv", True), ("loop_stt", False), ("nloop_sram", False)),
-    kernel=GENERIC,
     hybrid_only=True,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
@@ -165,7 +154,6 @@ register(PolicyEntry(
     anchor="§IV-B, Fig. 25",
     rules="LAP flow; loop-block insertions steered to the STT region",
     defaults=(("winv", False), ("loop_stt", True), ("nloop_sram", False)),
-    kernel=GENERIC,
     hybrid_only=True,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
@@ -179,7 +167,6 @@ register(PolicyEntry(
     anchor="§IV-B, Fig. 25",
     rules="LAP flow; non-loop insertions steered to the SRAM region",
     defaults=(("winv", False), ("loop_stt", False), ("nloop_sram", True)),
-    kernel=GENERIC,
     hybrid_only=True,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
@@ -193,7 +180,6 @@ register(PolicyEntry(
     anchor="§VII (orthogonality claim)",
     rules="LAP flow; clean victims from dead-write regions dropped by a "
           "saturating-counter predictor",
-    kernel=GENERIC,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -205,7 +191,6 @@ register(PolicyEntry(
     paper="DASCA (Ahn et al., HPCA 2014)",
     anchor="§III (dead-write bypass)",
     rules="exclusive flow; predicted-dead clean victims bypass the LLC",
-    kernel=GENERIC,
     arena=False,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -222,7 +207,6 @@ register(PolicyEntry(
     anchor="§3, Alg. 1",
     rules="first miss records the tag and bypasses the fill; a second "
           "miss while tracked fills; clean victims dropped; dirty insert",
-    kernel=GENERIC,
     check_default=True,
     events=("llc_fill", "dirty_victim", "llc_evict", "mem_writeback"),
 ))
@@ -234,7 +218,6 @@ register(PolicyEntry(
     anchor="§III (reuse-distance filter)",
     rules="no fill; no hit-invalidation; clean victims copy back iff "
           "observed reuse distance fits the LLC; dirty insert/update",
-    kernel=GENERIC,
     check_default=True,
     events=("clean_insert", "dirty_victim", "llc_evict", "mem_writeback"),
     invariants=("no-fill",),
@@ -247,7 +230,6 @@ register(PolicyEntry(
     anchor="§3 (way-granularity gating)",
     rules="non-inclusive flow with victim selection restricted to the "
           "active ways; static energy scaled by the active fraction",
-    kernel=GENERIC,
     check_default=True,
     events=("llc_fill", "dirty_victim", "llc_evict", "mem_writeback"),
 ))

@@ -8,9 +8,10 @@ once — a factory dict in :mod:`repro.core.policies`, the 7-tuple
 all of them and hoping nothing drifted. The registry replaces that:
 every policy is a :class:`PolicyEntry` carrying its factory *and* its
 metadata — source paper + section anchor, data-flow rules, probe
-events, invariant coverage, batched-kernel eligibility, and which curated
-sets (arena grid, ``repro check`` default) it belongs to. Everything
-that used to hardcode a tuple now derives it from here, and the
+events, invariant coverage, and which curated sets (arena grid,
+``repro check`` default) it belongs to. Everything that used to
+hardcode a tuple now derives it from here; batched-kernel eligibility
+is derived from ``kernel_mode`` itself (:func:`batched_names`). The
 DESIGN.md §15 catalog table is checked against these entries by a
 doc-sync test.
 
@@ -32,12 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-
-#: kernel-eligibility declarations (cross-checked against
-#: :func:`repro.kernel.batch.kernel_mode` by the test suite).
-BATCHED = "batched"
-GENERIC = "generic"
-
 
 @dataclass(frozen=True)
 class PolicyEntry:
@@ -61,9 +56,6 @@ class PolicyEntry:
     rules: str
     aliases: Tuple[str, ...] = ()
     defaults: Tuple[Tuple[str, object], ...] = ()
-    #: ``BATCHED`` when the batched kernel can run this policy,
-    #: ``GENERIC`` otherwise (the default for new policies)
-    kernel: str = GENERIC
     #: needs a hybrid (SRAM+STT) LLC geometry to be meaningful
     hybrid_only: bool = False
     #: member of the ``repro compare --arena`` grid
@@ -185,8 +177,12 @@ def arena_names(hybrid: bool = False) -> Tuple[str, ...]:
 
 
 def batched_names() -> Tuple[str, ...]:
-    """Policies declared eligible for the batched kernel."""
-    return tuple(e.name for e in entries() if e.kernel == BATCHED)
+    """Policies the batched kernel can run: those whose default instance
+    :func:`repro.kernel.batch.kernel_mode` dispatches (the ground truth,
+    so eligibility is derived, never declared)."""
+    from ..kernel.batch import kernel_mode  # heavy: keep the registry light
+
+    return tuple(e.name for e in entries() if kernel_mode(make(e.name)) is not None)
 
 
 def validate_names(
@@ -220,6 +216,7 @@ def overridden(name: str, factory) -> "object":
 
 def catalog_rows() -> List[dict]:
     """Rows for the ``repro list`` output and the DESIGN.md catalog."""
+    batched = batched_names()
     return [
         {
             "name": e.name,
@@ -227,7 +224,7 @@ def catalog_rows() -> List[dict]:
             "paper": e.paper,
             "anchor": e.anchor,
             "rules": e.rules,
-            "kernel": e.kernel,
+            "kernel": "batched" if e.name in batched else "generic",
             "hybrid_only": e.hybrid_only,
             "arena": e.arena,
             "check_default": e.check_default,

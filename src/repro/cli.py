@@ -455,7 +455,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     records = sweep.run(
-        progress=lambda r: print(f"  {r.workload} / {r.policy} done", file=sys.stderr),
         max_workers=jobs,
         cache=cache,
         heartbeat_interval=args.heartbeat if args.heartbeat > 0 else None,
@@ -742,8 +741,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_limit=args.queue_limit,
         cache=get_active_cache(),
-        job_workers=args.job_workers,
-        heartbeat_interval=args.heartbeat if args.heartbeat > 0 else None,
     )
     return serve_forever(config)
 
@@ -756,8 +753,6 @@ def _print_job_status(status: dict, as_json: bool) -> None:
             ("id", "state", "client", "workload", "policy", "system",
              "source", "coalesced", "wall_s", "error")]
     print(render_table("job", ["field", "value"], rows))
-    for line in status.get("progress", ()):
-        print(f"  {line}")
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -1174,11 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-limit", type=int, default=256, metavar="N",
                    help="global queued-job bound before backpressure "
                    "(default: 256)")
-    p.add_argument("--job-workers", type=int, default=1, metavar="N",
-                   help="process-pool width per job (default: 1 = in-thread)")
-    p.add_argument("--heartbeat", type=float, default=5.0, metavar="SECONDS",
-                   help="per-job progress-line interval (default: 5; "
-                   "0 disables)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("submit", help="submit one job spec to a running "
@@ -1322,6 +1312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    cache = None
     try:
         spans_path = getattr(args, "spans", None)
         if spans_path:
@@ -1356,6 +1347,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # execute_jobs stores every completed job before re-raising; only
+        # a directory cache outlives this process.
+        print("interrupted: completed jobs are cached" if cache is not None
+              else "interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

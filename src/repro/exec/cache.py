@@ -124,6 +124,8 @@ class ResultCache:
         path = self._path(key)
         try:
             payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                raise ValueError("entry is not a JSON object")
             if payload.get("schema") != CACHE_SCHEMA_VERSION or payload.get("key") != key:
                 raise ValueError("schema/key mismatch")
             result = result_from_dict(payload["result"])

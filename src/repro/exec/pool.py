@@ -1,11 +1,12 @@
 """Parallel job execution over a process pool, with caching and retry.
 
 :func:`execute_jobs` runs every grid in the repository — figures,
-``run_policies``, ``Sweep.run``, suites and the CLI: it resolves cache
-hits first, runs the misses in-process or fans them out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers > 1``),
-and returns results in the *input* order regardless of completion
-order, so parallel sweeps are record-for-record identical to serial ones.
+``run_policies``, ``Sweep.run``, suites, the CLI and ``repro serve``:
+it resolves cache hits first, runs the misses in-process or fans them
+out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+(``max_workers > 1``), and returns results in the *input* order
+regardless of completion order, so parallel sweeps are
+record-for-record identical to serial ones.
 
 The return value is an :class:`ExecutionOutcome` — a list of
 :class:`RunResult` (so every existing caller keeps working) that also
@@ -21,17 +22,18 @@ during long sweeps.
 Failure policy: library errors (:class:`~repro.errors.ReproError`) are
 deterministic — a retry would fail identically — so they propagate
 unchanged. Anything else (a worker killed by the OS, a broken pool, a
-pickling hiccup) is treated as transient and retried once, in-process;
-a second failure raises :class:`~repro.errors.ExecutionError`.
+pickling hiccup) is treated as transient: a job gets one more attempt,
+in-process, and a second failure raises
+:class:`~repro.errors.ExecutionError`.
 
 Interruption policy: SIGINT (Ctrl-C) and SIGTERM (a supervisor's stop)
-during a batch shut the batch down gracefully instead of unwinding
-with a raw traceback — pending work is cancelled, every *completed*
-job is still cached and profiled, the manifest is still written, and
-the caller receives a partial :class:`ExecutionOutcome` with
-``interrupted=True`` (SIGTERM is bridged to ``KeyboardInterrupt``
-while the batch runs, main thread only — worker-thread callers such as
-the serve daemon inherit their host's signal handling untouched).
+during a batch cancel the pending work, but every *completed* job is
+still cached and profiled and the manifest is still written; then the
+``KeyboardInterrupt`` propagates, so no caller ever receives a grid
+with cells missing. SIGTERM is bridged to ``KeyboardInterrupt`` while
+the batch runs, main thread only — worker-thread callers such as the
+serve daemon inherit their host's signal handling untouched. The CLI
+turns the interrupt into one stderr line and exit code 130.
 
 Workers serialise results with :mod:`repro.exec.serialize` rather than
 pickling :class:`RunResult` objects, so the parallel path returns
@@ -47,7 +49,7 @@ import pathlib
 import signal
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..errors import ExecutionError, ReproError
 from ..obs import (
@@ -72,15 +74,15 @@ from .cache import ResultCache
 from .jobs import JobSpec
 from .serialize import result_from_dict, result_to_dict
 
+#: Attempts per job: a transient failure gets one retry, in-process.
+ATTEMPTS = 2
+
 
 class ExecutionOutcome(List[RunResult]):
     """Ordered results plus per-job execution telemetry.
 
     Behaves exactly like the plain ``List[RunResult]`` this function
-    used to return; the telemetry rides along as attributes. An
-    interrupted batch (``interrupted=True``) holds only the jobs that
-    completed — still in input order — with ``total_jobs`` recording
-    how many were requested.
+    used to return; the telemetry rides along as attributes.
     """
 
     def __init__(
@@ -89,15 +91,11 @@ class ExecutionOutcome(List[RunResult]):
         profiles: Sequence[JobProfile],
         max_workers: int,
         wall_s: float,
-        interrupted: bool = False,
-        total_jobs: Optional[int] = None,
     ) -> None:
         super().__init__(results)
         self.profiles: List[JobProfile] = list(profiles)
         self.max_workers = max_workers
         self.wall_s = wall_s
-        self.interrupted = interrupted
-        self.total_jobs = len(self) if total_jobs is None else total_jobs
 
     @property
     def cache_hits(self) -> int:
@@ -144,46 +142,37 @@ def _run_job_dict(job: JobSpec) -> Dict[str, Any]:
     }
 
 
-def _run_with_retry(
-    job: JobSpec, index: int, retries: int
-) -> Tuple[RunResult, int]:
-    """In-process execution with the same retry policy as the pool path.
-
-    Returns ``(result, retries_used)``.
-    """
-    attempts = retries + 1
-    last: Optional[BaseException] = None
-    for attempt in range(attempts):
-        try:
-            return job.run(), attempt
-        except ReproError:
-            raise
-        except Exception as exc:  # transient by assumption; retry once
-            last = exc
-    raise ExecutionError(
-        f"job {index} ({job.workload.label} / {job.policy}) failed after "
-        f"{attempts} attempts: {last}"
-    ) from last
-
-
 def _run_in_process(
     jobs: Sequence[JobSpec],
     i: int,
-    retries: int,
     results: List[Optional[RunResult]],
     profiles: List[Optional[JobProfile]],
-    prior_retries: int = 0,
+    spent: int = 0,
 ) -> None:
-    """Run ``jobs[i]`` in this process (see :func:`_run_with_retry`) and
-    record its result and profile in place; ``prior_retries`` counts
-    attempts already spent elsewhere (a failed pool worker)."""
+    """Run ``jobs[i]`` in this process under the failure policy and
+    record its result and profile in place; ``spent`` counts attempts
+    already made elsewhere (a failed pool worker)."""
     job = jobs[i]
     job_start = time.perf_counter()
+    attempt = spent
     with span("exec.job", index=i, policy=job.policy, workload=job.workload.label):
-        results[i], used = _run_with_retry(job, i, retries)
-    profile = _profile_for(i, job, SOURCE_SERIAL, results[i])
+        while True:
+            try:
+                result = job.run()
+                break
+            except ReproError:
+                raise
+            except Exception as exc:  # transient by assumption
+                attempt += 1
+                if attempt >= ATTEMPTS:
+                    raise ExecutionError(
+                        f"job {i} ({job.workload.label} / {job.policy}) failed "
+                        f"after {ATTEMPTS} attempts: {exc}"
+                    ) from exc
+    results[i] = result
+    profile = _profile_for(i, job, SOURCE_SERIAL, result)
     profile.wall_s = time.perf_counter() - job_start
-    profile.retries = prior_retries + used
+    profile.retries = attempt
     profile.peak_rss_kb = peak_rss_kb()
     profiles[i] = profile
 
@@ -192,11 +181,11 @@ def _run_in_process(
 def _sigterm_as_interrupt() -> Iterator[None]:
     """Bridge SIGTERM to ``KeyboardInterrupt`` for the enclosed batch.
 
-    Lets a supervisor's ``kill`` trigger the same graceful partial
-    shutdown as Ctrl-C. Signal handlers are a main-thread-only,
-    process-global resource, so this is a no-op off the main thread
-    (e.g. ``execute_jobs`` running inside a serve worker thread) and
-    on platforms that refuse the handler.
+    Lets a supervisor's ``kill`` stop the batch the way Ctrl-C does.
+    Signal handlers are a main-thread-only, process-global resource, so
+    this is a no-op off the main thread (e.g. ``execute_jobs`` running
+    inside a serve worker thread) and on platforms that refuse the
+    handler.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -232,39 +221,30 @@ def execute_jobs(
     jobs: Sequence[JobSpec],
     max_workers: int = 1,
     cache: Optional[ResultCache] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
     manifest_dir: Optional[Union[str, pathlib.Path]] = None,
     heartbeat_interval: Optional[float] = None,
-    heartbeat_emit: Optional[Callable[[str], None]] = None,
 ) -> ExecutionOutcome:
     """Execute ``jobs`` and return one :class:`RunResult` per job, in order.
 
     ``max_workers <= 1`` (or a pool that fails to start) runs serially
     in-process; ``cache`` short-circuits jobs whose content address is
-    already stored and records fresh results on the way out. ``timeout``
-    bounds each job's wall-clock wait in seconds (parallel path only —
-    a serial job cannot be preempted). ``retries`` bounds re-execution
-    of transiently-failed jobs (default: one retry). ``manifest_dir``
-    writes the run manifest there (``manifest.json``);
-    ``heartbeat_interval`` emits progress lines at most that many
-    seconds apart (via ``heartbeat_emit``, default stderr).
+    already stored and records fresh results on the way out.
+    ``manifest_dir`` writes the run manifest there (``manifest.json``);
+    ``heartbeat_interval`` emits progress lines on stderr at most that
+    many seconds apart.
 
-    SIGINT/SIGTERM mid-batch returns a *partial* outcome instead of
-    raising: completed jobs are cached, profiled, and manifest-logged
-    as usual, pending work is cancelled, and the returned outcome has
-    ``interrupted=True`` with ``total_jobs`` = the requested count.
+    SIGINT/SIGTERM mid-batch cancels the pending work, then caches,
+    profiles and manifest-logs the completed jobs as usual (counting
+    ``exec.interrupted``) and re-raises ``KeyboardInterrupt``.
     """
     start = time.perf_counter()
     jobs = list(jobs)
     for i, job in enumerate(jobs):
         if not isinstance(job, JobSpec):
             raise ExecutionError(f"jobs[{i}] is not a JobSpec: {type(job).__name__}")
-    if retries < 0:
-        raise ExecutionError(f"retries must be >= 0, got {retries}")
     results: List[Optional[RunResult]] = [None] * len(jobs)
     profiles: List[Optional[JobProfile]] = [None] * len(jobs)
-    pulse = Heartbeat(len(jobs), heartbeat_interval, emit=heartbeat_emit)
+    pulse = Heartbeat(len(jobs), heartbeat_interval)
 
     batch_span = span("exec.batch", jobs=len(jobs), max_workers=max_workers)
     misses: List[int] = []
@@ -285,23 +265,23 @@ def execute_jobs(
         misses = list(range(len(jobs)))
     cached_count = len(jobs) - len(misses)
 
-    interrupted = False
+    interrupt: Optional[KeyboardInterrupt] = None
     try:
         if misses:
             with _sigterm_as_interrupt():
                 try:
                     pooled = max_workers > 1 and len(misses) > 1 and _execute_pooled(
-                        jobs, misses, results, profiles, max_workers, timeout,
-                        retries, pulse, cached_count,
+                        jobs, misses, results, profiles, max_workers, pulse,
+                        cached_count,
                     )
                     if not pooled:
                         for n, i in enumerate(misses):
-                            _run_in_process(jobs, i, retries, results, profiles)
+                            _run_in_process(jobs, i, results, profiles)
                             pulse.beat(cached_count + n + 1, cached_count)
-                except KeyboardInterrupt:
-                    # Graceful shutdown: keep everything that finished.
+                except KeyboardInterrupt as exc:
+                    # Keep everything that finished; re-raised below.
                     # (_execute_pooled has already cancelled its futures.)
-                    interrupted = True
+                    interrupt = exc
             if cache is not None:
                 for i in misses:
                     if results[i] is not None:
@@ -320,14 +300,13 @@ def execute_jobs(
         [profiles[i] for i in completed],  # type: ignore[misc]
         max_workers=max_workers,
         wall_s=wall_s,
-        interrupted=interrupted,
-        total_jobs=len(jobs),
     )
     batch_span.set(
-        completed=len(completed), cache_hits=cached_count, interrupted=interrupted
+        completed=len(completed), cache_hits=cached_count,
+        interrupted=interrupt is not None,
     )
     batch_span.finish()
-    _report_metrics(outcome)
+    _report_metrics(outcome, interrupted=interrupt is not None)
     if jobs:
         pulse.final(len(completed), cached_count)
     if manifest_dir is not None:
@@ -340,15 +319,17 @@ def execute_jobs(
             recorder = current_recorder()
             if recorder is not None and len(recorder):
                 recorder.dump(pathlib.Path(manifest_dir))
+    if interrupt is not None:
+        raise interrupt
     return outcome
 
 
-def _report_metrics(outcome: ExecutionOutcome) -> None:
+def _report_metrics(outcome: ExecutionOutcome, interrupted: bool) -> None:
     """Pool roll-ups into the process metrics registry (once per batch)."""
     manifest = outcome.manifest()
     registry = get_registry()
     registry.counter("exec.jobs").inc(len(outcome))
-    if outcome.interrupted:
+    if interrupted:
         registry.counter("exec.interrupted").inc()
     registry.counter("exec.cache_hits").inc(manifest.cache_hits)
     registry.counter("exec.cache_misses").inc(manifest.cache_misses)
@@ -365,8 +346,6 @@ def _execute_pooled(
     results: List[Optional[RunResult]],
     profiles: List[Optional[JobProfile]],
     max_workers: int,
-    timeout: Optional[float],
-    retries: int,
     pulse: Heartbeat,
     cached_count: int,
 ) -> bool:
@@ -385,19 +364,14 @@ def _execute_pooled(
 
     try:
         futures = {i: pool.submit(_run_job_dict, jobs[i]) for i in misses}
-        retry_budget = {i: retries for i in misses}
-        pending = list(misses)
-        done = 0
-        while pending:
-            i = pending.pop(0)
+        for done, i in enumerate(misses):
             try:
                 payload = _wait_with_heartbeat(
-                    futures[i], timeout, pulse, cached_count + done, cached_count
+                    futures[i], pulse, cached_count + done, cached_count
                 )
                 results[i] = result_from_dict(payload["result"])
                 profile = _profile_for(i, jobs[i], SOURCE_POOL, results[i])
                 profile.wall_s = payload.get("wall_s", 0.0)
-                profile.retries = retries - retry_budget[i]
                 profile.peak_rss_kb = payload.get("peak_rss_kb")
                 profiles[i] = profile
                 get_registry().merge(payload["metrics"])
@@ -406,36 +380,16 @@ def _execute_pooled(
                     recorder.adopt(payload["spans"], index=i)
             except ReproError:
                 raise  # deterministic library failure: retrying is pointless
-            except cf.TimeoutError:
-                futures[i].cancel()
-                raise ExecutionError(
-                    f"job {i} ({jobs[i].workload.label} / {jobs[i].policy}) "
-                    f"exceeded its {timeout:g}s timeout"
-                ) from None
-            except Exception as exc:
-                if retry_budget[i] > 0:
-                    retry_budget[i] -= 1
-                    # A crashed worker may have broken the whole pool;
-                    # the retry runs in-process, which also covers
-                    # unpicklable-job failures.
-                    _run_in_process(
-                        jobs, i, 0, results, profiles,
-                        prior_retries=retries - retry_budget[i],
-                    )
-                else:
-                    raise ExecutionError(
-                        f"job {i} ({jobs[i].workload.label} / {jobs[i].policy}) "
-                        f"failed in worker: {exc}"
-                    ) from exc
-            done += 1
-            pulse.beat(cached_count + done, cached_count)
+            except Exception:
+                # A crashed worker may have broken the whole pool; the
+                # retry runs in-process, which also covers
+                # unpicklable-job failures.
+                _run_in_process(jobs, i, results, profiles, spent=1)
+            pulse.beat(cached_count + done + 1, cached_count)
     except KeyboardInterrupt:
-        # Graceful shutdown: drop work that has not started, abandon
-        # the in-flight job (a process pool cannot preempt it), keep
-        # every result already collected. The caller turns this into a
-        # partial ExecutionOutcome.
-        for future in futures.values():
-            future.cancel()
+        # Drop work that has not started and abandon the in-flight job
+        # (a process pool cannot preempt it); the caller keeps every
+        # result already collected.
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     except BaseException:
@@ -447,30 +401,12 @@ def _execute_pooled(
 
 
 def _wait_with_heartbeat(
-    future: "cf.Future",
-    timeout: Optional[float],
-    pulse: Heartbeat,
-    done: int,
-    cached: int,
+    future: "cf.Future", pulse: Heartbeat, done: int, cached: int
 ) -> Dict[str, Any]:
-    """``future.result(timeout=...)`` that keeps the heartbeat alive.
-
-    Waits in slices no longer than the heartbeat interval so progress
-    lines keep flowing while a slow job blocks the ordered collection
-    loop; the per-job ``timeout`` semantics are unchanged (measured
-    from when collection reaches this job).
-    """
-    if pulse.interval is None or pulse.interval <= 0:
-        return future.result(timeout=timeout)
-    deadline = None if timeout is None else time.perf_counter() + timeout
-    while True:
-        remaining = None if deadline is None else deadline - time.perf_counter()
-        if remaining is not None and remaining <= 0:
-            raise cf.TimeoutError()
-        wait = pulse.interval if remaining is None else min(pulse.interval, remaining)
-        try:
-            return future.result(timeout=wait)
-        except cf.TimeoutError:
-            if deadline is not None and time.perf_counter() >= deadline:
-                raise
-            pulse.beat(done, cached)
+    """``future.result()`` that keeps the heartbeat alive: it waits in
+    slices no longer than the heartbeat interval, so progress lines keep
+    flowing while a slow job blocks the ordered collection loop."""
+    interval = pulse.interval or None  # 0 beats once per job, not in a spin
+    while not cf.wait((future,), timeout=interval).done:
+        pulse.beat(done, cached)
+    return future.result()

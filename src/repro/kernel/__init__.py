@@ -14,14 +14,11 @@ from __future__ import annotations
 
 
 def batched_policy_names() -> tuple:
-    """Policy names declared batched-kernel-eligible by the registry.
+    """Registered policy names the batched kernel can run.
 
-    The ground truth remains :func:`repro.kernel.batch.kernel_mode`
-    (exact-type dispatch over a built policy instance); the registry
-    carries the *declaration*, and the test suite asserts the two
-    agree for every registered policy. New policies default to the
-    generic path — they appear here only once both the declaration and
-    a kernel mode exist.
+    Derived from :func:`repro.kernel.batch.kernel_mode` (exact-type
+    dispatch over each policy's default instance), so a new policy
+    takes the generic path until ``kernel.batch`` learns its flow.
     """
     from ..arena.registry import batched_names
 

@@ -18,7 +18,7 @@ import pathlib
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..errors import TelemetryError
 from ..utils import atomic_write
@@ -185,36 +185,28 @@ class RunManifest:
 
 
 class Heartbeat:
-    """Rate-limited progress lines for long sweeps.
+    """Rate-limited progress lines on stderr for long sweeps.
 
     ``beat(done, cached)`` emits at most once per ``interval`` seconds;
     ``final()`` always emits. ``interval=None`` disables emission
     entirely (the default for library callers — the CLI turns it on).
     """
 
-    def __init__(
-        self,
-        total: int,
-        interval: Optional[float],
-        emit: Optional[Callable[[str], None]] = None,
-        label: str = "exec",
-    ) -> None:
+    def __init__(self, total: int, interval: Optional[float]) -> None:
         if interval is not None and interval < 0:
             raise TelemetryError(f"heartbeat interval must be >= 0, got {interval}")
         self.total = total
         self.interval = interval
-        self.label = label
-        self._emit = emit if emit is not None else self._default_emit
         self._start = time.perf_counter()
         self._last = self._start
 
     @staticmethod
-    def _default_emit(line: str) -> None:
+    def _emit(line: str) -> None:
         print(line, file=sys.stderr)
 
     def _line(self, done: int, cached: int) -> str:
         elapsed = time.perf_counter() - self._start
-        parts = [f"[{self.label}] {done}/{self.total} job(s) done"]
+        parts = [f"[exec] {done}/{self.total} job(s) done"]
         if cached:
             parts.append(f"{cached} from cache")
         parts.append(f"{elapsed:.1f}s elapsed")

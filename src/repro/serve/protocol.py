@@ -25,7 +25,7 @@ Routes
     queue cannot take the batch.
 ``GET /jobs/<id>``
     Status payload for one job (state, provenance, queue facts,
-    heartbeat progress lines).
+    wall time).
 ``GET /jobs/<id>/result``
     The serialised :class:`RunResult` once the job is ``done`` (409
     while it is still queued/running, 404 for unknown ids).
@@ -130,7 +130,6 @@ def job_status_payload(
     error: Optional[str] = None,
     submitted_s: Optional[float] = None,
     wall_s: Optional[float] = None,
-    progress: Optional[List[str]] = None,
     workload: Optional[str] = None,
     policy: Optional[str] = None,
     system: Optional[str] = None,
@@ -145,7 +144,6 @@ def job_status_payload(
         "error": error,
         "submitted_s": submitted_s,
         "wall_s": wall_s,
-        "progress": list(progress or ()),
         "workload": workload,
         "policy": policy,
         "system": system,

@@ -16,8 +16,8 @@ the unit tests drive it directly.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Deque, Dict, Optional
 
 from ..errors import ServeError
 from ..exec.jobs import JobSpec
@@ -44,8 +44,6 @@ class JobRecord:
     #: Serialised RunResult (``result_to_dict``) once done.
     result: Optional[dict] = None
     error: Optional[str] = None
-    #: Heartbeat lines appended by the executing worker thread.
-    progress: List[str] = field(default_factory=list)
 
 
 class FairScheduler:

@@ -35,7 +35,7 @@ import json
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import BackpressureError, ReproError, ServeError
@@ -106,18 +106,12 @@ class ServeConfig:
     queue_limit: int = DEFAULT_QUEUE_LIMIT
     #: Shared content-addressed result store (None disables caching).
     cache: Optional[ResultCache] = None
-    #: ``max_workers`` handed to ``execute_jobs`` per job (1 = in-thread).
-    job_workers: int = 1
-    #: Heartbeat cadence for per-job progress lines (None disables).
-    heartbeat_interval: Optional[float] = 5.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ServeError(f"workers must be >= 1, got {self.workers}")
         if self.queue_limit < 1:
             raise ServeError(f"queue_limit must be >= 1, got {self.queue_limit}")
-        if self.job_workers < 1:
-            raise ServeError(f"job_workers must be >= 1, got {self.job_workers}")
 
 
 class ReproServer:
@@ -206,15 +200,10 @@ class ReproServer:
             record.state = STATE_FAILED
             registry.counter("serve.failed").inc()
         else:
-            if outcome and outcome.profiles:
-                record.result = result_to_dict(outcome[0])
-                record.source = outcome.profiles[0].source
-                record.state = STATE_DONE
-                registry.counter("serve.completed").inc()
-            else:  # interrupted/empty batch: report rather than hang waiters
-                record.error = "execution returned no result"
-                record.state = STATE_FAILED
-                registry.counter("serve.failed").inc()
+            record.result = result_to_dict(outcome[0])
+            record.source = outcome.profiles[0].source
+            record.state = STATE_DONE
+            registry.counter("serve.completed").inc()
         finally:
             record.wall_s = time.perf_counter() - start
             job_span.set(source=record.source, state=record.state)
@@ -225,13 +214,7 @@ class ReproServer:
 
     def _run_record(self, record: JobRecord):
         """Runs on a worker thread: the only code off the event loop."""
-        return execute_jobs(
-            [record.spec],
-            max_workers=self.config.job_workers,
-            cache=self.config.cache,
-            heartbeat_interval=self.config.heartbeat_interval,
-            heartbeat_emit=record.progress.append,
-        )
+        return execute_jobs([record.spec], cache=self.config.cache)
 
     # ------------------------------------------------------------------
     # submission (event-loop thread only)
@@ -478,7 +461,6 @@ class ReproServer:
             error=record.error,
             submitted_s=record.submitted_s,
             wall_s=record.wall_s,
-            progress=record.progress,
             workload=record.spec.workload.label,
             policy=record.spec.policy,
             system=record.spec.system.label,

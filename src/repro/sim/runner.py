@@ -69,10 +69,7 @@ def run_policies(
         JobSpec(system=system, workload=workload, policy=p, refs_per_core=refs_per_core)
         for p in policies
     ]
-    outcome = execute_jobs(jobs, cache=get_active_cache())
-    if outcome.interrupted:
-        raise KeyboardInterrupt
-    return dict(zip(policies, outcome))
+    return dict(zip(policies, execute_jobs(jobs, cache=get_active_cache())))
 
 
 def run_one(

@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import pathlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..errors import AnalysisError
 from ..exec.cache import ResultCache, get_active_cache
@@ -89,7 +89,6 @@ class Sweep:
 
     def run(
         self,
-        progress: Optional[Callable[[SweepRecord], None]] = None,
         max_workers: int = 1,
         cache: Optional[ResultCache] = None,
         manifest_dir: Optional[Union[str, pathlib.Path]] = None,
@@ -104,7 +103,10 @@ class Sweep:
         results by content address. Every job is profiled; a run with a
         directory cache writes the roll-up as ``manifest.json`` next to
         the cached results (``manifest_dir`` overrides the location).
-        ``heartbeat_interval`` emits progress lines for long sweeps.
+        ``heartbeat_interval`` emits progress lines on stderr while the
+        batch runs. A Ctrl-C (or SIGTERM) mid-grid caches the completed
+        runs and propagates as ``KeyboardInterrupt``; no partial grid is
+        ever returned.
         """
         if cache is None:
             cache = get_active_cache()
@@ -128,20 +130,15 @@ class Sweep:
             manifest_dir=manifest_dir,
             heartbeat_interval=heartbeat_interval,
         )
-        if results.interrupted:
-            raise KeyboardInterrupt
-        records: List[SweepRecord] = []
-        for (sys_label, _, wl_label, _, policy), result in zip(cells, results):
-            record = SweepRecord(
+        return [
+            SweepRecord(
                 system=sys_label,
                 workload=wl_label,
                 policy=policy,
                 metrics=self._extract(result),
             )
-            records.append(record)
-            if progress is not None:
-                progress(record)
-        return records
+            for (sys_label, _, wl_label, _, policy), result in zip(cells, results)
+        ]
 
     def _extract(self, result: RunResult) -> Dict[str, float]:
         out = {}

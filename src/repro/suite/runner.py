@@ -155,8 +155,9 @@ def run_suite(
     ``bset`` is a set name (``resolve``-d, so ``"corpus"`` works when a
     corpus is given) or a :class:`BenchmarkSet` instance. Each member's
     policy batch goes through :func:`execute_jobs`, inheriting pool
-    fan-out and the result cache; a member that raises records its
-    error and the suite continues. With a directory cache the merged
+    fan-out and the result cache; a member that raises a library error
+    records it and the suite continues, while Ctrl-C ends the whole
+    suite (the completed jobs stay cached). With a directory cache the merged
     manifest (every member's job profiles) is written next to the
     cached results, so ``repro report`` picks suite runs up like any
     sweep; a memory-only cache has nowhere to put one.

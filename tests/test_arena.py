@@ -16,7 +16,7 @@ import pathlib
 import pytest
 
 from repro.arena import registry
-from repro.arena.registry import BATCHED, PolicyEntry
+from repro.arena.registry import PolicyEntry
 from repro.arena.reuse_detector import ReuseDetectorPolicy
 from repro.arena.rd_copyback import RDCopybackPolicy
 from repro.arena.ways_off import WaysOffPolicy
@@ -28,7 +28,6 @@ from repro.core.policies import (
 )
 from repro.errors import ConfigurationError, ExecutionError
 from repro.inclusion.traditional import NonInclusivePolicy
-from repro.kernel.batch import kernel_mode
 from repro.testing import A, B, C, D, E, F, G, H, build_micro, run_refs
 from repro.validate import DEFAULT_POLICIES, generate_trace, run_differential, run_trace
 
@@ -121,15 +120,6 @@ class TestCatalog:
     def test_paper_tuples_are_registered(self):
         for name in (*HOMOGENEOUS_POLICIES, *LAP_VARIANTS, *HYBRID_POLICIES):
             assert registry.canonical(name) == name
-
-    def test_kernel_declarations_match_ground_truth(self):
-        """The registry *declares* kernel eligibility; kernel_mode's
-        exact-type dispatch is the ground truth. They must agree for
-        every registered policy."""
-        for e in registry.entries():
-            declared = e.kernel == BATCHED
-            actual = kernel_mode(registry.make(e.name)) is not None
-            assert declared == actual, f"{e.name}: declared {e.kernel}, kernel_mode disagrees"
 
     def test_design_section15_documents_every_entry(self):
         """Doc-sync: DESIGN.md §15 must catalog every registered policy

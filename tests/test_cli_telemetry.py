@@ -131,6 +131,48 @@ class TestMetricsFlag:
         assert not (tmp_path / "missing").exists()
 
 
+class TestInterruptedSweep:
+    ARGS = ["sweep", "--workloads", "mcf", "--policies", "non-inclusive,lap",
+            "--heartbeat", "0", *SMALL]
+
+    @pytest.fixture(autouse=True)
+    def interrupt_second_job(self, monkeypatch):
+        from repro.exec import JobSpec
+
+        calls = {"n": 0}
+        real_run = JobSpec.run
+
+        def run(self):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise KeyboardInterrupt
+            return real_run(self)
+
+        monkeypatch.setattr(JobSpec, "run", run)
+
+    def test_interrupt_exits_130_and_keeps_completed_cells(self, tmp_path, capsys):
+        from repro.exec.cache import get_active_cache
+
+        active = get_active_cache()
+        cache_dir, metrics = tmp_path / "cache", tmp_path / "metrics.json"
+        code = main(["--cache-dir", str(cache_dir), "--metrics", str(metrics),
+                     *self.ARGS])
+        assert code == 130
+        err = capsys.readouterr().err.splitlines()
+        # the CLI's cleanup ran before the one-line report
+        assert err[-2:] == [f"metrics snapshot written to {metrics}",
+                            "interrupted: completed jobs are cached"]
+        assert get_active_cache() is active
+        [entry] = [p for p in cache_dir.glob("*.json") if p.name != MANIFEST_NAME]
+        assert json.loads(entry.read_text())["job"]["policy"] == "non-inclusive"
+        assert (cache_dir / MANIFEST_NAME).exists()
+
+    def test_interrupt_without_cache_claims_nothing_cached(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert main(self.ARGS) == 130
+        assert capsys.readouterr().err.splitlines()[-1] == "interrupted"
+
+
 class TestSweepManifest:
     def test_cached_sweep_writes_manifest(self, tmp_path, capsys):
         code = main(["--cache-dir", str(tmp_path), "sweep",

@@ -98,6 +98,16 @@ class TestResultCache:
         assert cache.get(j) is None
         assert not path.exists()
 
+    def test_non_object_entry_is_purged_and_misses(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        j = job()
+        cache.put(j, j.run())
+        path = cache.root / f"{j.key()}.json"
+        path.write_text("[]")  # valid JSON, but not an entry
+        assert cache.get(j) is None
+        assert not path.exists()
+        assert cache.stats().misses == 1
+
     def test_schema_mismatch_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         j = job()

@@ -1,6 +1,6 @@
-"""Graceful-shutdown semantics of execute_jobs (satellite of the serve
-PR): SIGINT/SIGTERM mid-batch yields a partial ExecutionOutcome with
-completed work cached and manifest-logged, not a raw traceback."""
+"""Interruption semantics of execute_jobs: SIGINT/SIGTERM mid-batch
+caches and manifest-logs the completed work, then re-raises
+KeyboardInterrupt, so no caller ever receives a partial grid."""
 
 import os
 import signal
@@ -40,22 +40,18 @@ def interrupt_on_call(monkeypatch, n_before_interrupt, exc=KeyboardInterrupt):
 
 
 class TestGracefulInterrupt:
-    def test_partial_outcome_instead_of_traceback(self, monkeypatch):
-        batch = jobs(3)
-        interrupt_on_call(monkeypatch, 1)
-        outcome = execute_jobs(batch)  # must NOT raise
-        assert outcome.interrupted
-        assert outcome.total_jobs == 3
-        assert len(outcome) == 1
-        assert len(outcome.profiles) == 1
-        assert outcome[0].epi > 0
+    def test_interrupt_propagates(self, monkeypatch):
+        calls = interrupt_on_call(monkeypatch, 1)
+        with pytest.raises(KeyboardInterrupt):
+            execute_jobs(jobs(3))
+        assert calls["n"] == 2, "no job may start after the interrupt"
 
     def test_completed_jobs_are_cached_and_manifested(self, monkeypatch, tmp_path):
         batch = jobs(3)
         cache = ResultCache(tmp_path / "cache")
         interrupt_on_call(monkeypatch, 2)
-        outcome = execute_jobs(batch, cache=cache, manifest_dir=tmp_path)
-        assert outcome.interrupted and len(outcome) == 2
+        with pytest.raises(KeyboardInterrupt):
+            execute_jobs(batch, cache=cache, manifest_dir=tmp_path)
         # the two finished jobs are in the shared cache...
         monkeypatch.undo()
         assert cache.get(batch[0]) is not None
@@ -68,14 +64,17 @@ class TestGracefulInterrupt:
     def test_interrupted_results_match_uninterrupted_prefix(self, monkeypatch):
         batch = jobs(3)
         clean = execute_jobs(batch)
+        cache = ResultCache()
         interrupt_on_call(monkeypatch, 2)
-        partial = execute_jobs(batch)
-        assert partial.interrupted
+        with pytest.raises(KeyboardInterrupt):
+            execute_jobs(batch, cache=cache)
+        monkeypatch.undo()
+        partial = [cache.get(job) for job in batch[:2]]
         assert [r.to_dict() for r in partial] == [r.to_dict() for r in clean[:2]]
 
     def test_sigterm_is_bridged_to_graceful_shutdown(self, monkeypatch):
         """A supervisor's SIGTERM mid-batch behaves exactly like Ctrl-C:
-        partial outcome, no process death."""
+        KeyboardInterrupt with the first job cached, no process death."""
         if not hasattr(signal, "SIGTERM") or os.name == "nt":
             pytest.skip("POSIX-only")
         calls = {"n": 0}
@@ -93,14 +92,26 @@ class TestGracefulInterrupt:
             return real_run(self)
 
         monkeypatch.setattr(JobSpec, "run", run)
-        outcome = execute_jobs(jobs(3))
-        assert outcome.interrupted
-        assert len(outcome) == 1
+        batch = jobs(3)
+        cache = ResultCache()
+        with pytest.raises(KeyboardInterrupt):
+            execute_jobs(batch, cache=cache)
+        monkeypatch.undo()
+        assert cache.get(batch[0]) is not None
+        assert cache.get(batch[1]) is None
 
     def test_clean_run_is_unflagged(self):
-        outcome = execute_jobs(jobs(2))
-        assert not outcome.interrupted
-        assert outcome.total_jobs == len(outcome) == 2
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        previous = set_registry(MetricsRegistry())
+        try:
+            outcome = execute_jobs(jobs(2))
+            from repro.obs.metrics import get_registry
+
+            assert len(outcome) == len(outcome.profiles) == 2
+            assert get_registry().counter("exec.interrupted").value == 0
+        finally:
+            set_registry(previous)
 
     def test_interrupt_counted_in_metrics(self, monkeypatch):
         from repro.obs.metrics import MetricsRegistry, set_registry
@@ -108,7 +119,8 @@ class TestGracefulInterrupt:
         previous = set_registry(MetricsRegistry())
         try:
             interrupt_on_call(monkeypatch, 1)
-            execute_jobs(jobs(2))
+            with pytest.raises(KeyboardInterrupt):
+                execute_jobs(jobs(2))
             from repro.obs.metrics import get_registry
 
             assert get_registry().counter("exec.interrupted").value == 1

@@ -38,13 +38,6 @@ class TestDeterminism:
         # same order, same labels, bit-identical metric values
         assert parallel == serial
 
-    def test_progress_fires_in_serial_order(self):
-        sweep = small_grid(refs=400)
-        expected = sweep.run()
-        seen = []
-        sweep.run(progress=seen.append, max_workers=4)
-        assert seen == expected
-
 
 class TestExecuteJobs:
     def jobs(self, n=3):
@@ -68,8 +61,6 @@ class TestExecuteJobs:
     def test_rejects_non_jobs(self):
         with pytest.raises(ExecutionError):
             execute_jobs(["not a job"])
-        with pytest.raises(ExecutionError):
-            execute_jobs(self.jobs(1), retries=-1)
 
     def test_transient_failure_retried_once(self, monkeypatch):
         calls = {"n": 0}

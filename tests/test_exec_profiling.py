@@ -225,19 +225,18 @@ class TestSweepManifest:
 
 
 class TestHeartbeat:
-    def test_interval_none_never_emits(self):
-        lines = []
-        pulse = Heartbeat(5, None, emit=lines.append)
+    def test_interval_none_never_emits(self, capsys):
+        pulse = Heartbeat(5, None)
         pulse.beat(1)
         pulse.final(5)
-        assert lines == []
+        assert capsys.readouterr().err == ""
 
-    def test_interval_zero_emits_every_beat(self):
-        lines = []
-        pulse = Heartbeat(3, 0.0, emit=lines.append)
+    def test_interval_zero_emits_every_beat(self, capsys):
+        pulse = Heartbeat(3, 0.0)
         pulse.beat(1)
         pulse.beat(2, cached=1)
         pulse.final(3, cached=1)
+        lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 3
         assert "1/3 job(s) done" in lines[0]
         assert "1 from cache" in lines[1]
@@ -247,22 +246,17 @@ class TestHeartbeat:
         with pytest.raises(TelemetryError, match=">= 0"):
             Heartbeat(1, -1.0)
 
-    def test_long_interval_rate_limits(self):
-        lines = []
-        pulse = Heartbeat(10, 3600.0, emit=lines.append)
+    def test_long_interval_rate_limits(self, capsys):
+        pulse = Heartbeat(10, 3600.0)
         for i in range(10):
             pulse.beat(i + 1)
-        assert lines == []  # an hour has not elapsed
+        assert capsys.readouterr().err == ""  # an hour has not elapsed
         pulse.final(10)
-        assert len(lines) == 1  # final always emits
+        assert len(capsys.readouterr().err.splitlines()) == 1  # final always emits
 
-    def test_execute_jobs_heartbeat_plumbing(self):
-        lines = []
-        execute_jobs(
-            make_jobs(2, refs=200),
-            heartbeat_interval=0.0,
-            heartbeat_emit=lines.append,
-        )
+    def test_execute_jobs_heartbeat_plumbing(self, capsys):
+        execute_jobs(make_jobs(2, refs=200), heartbeat_interval=0.0)
+        lines = capsys.readouterr().err.splitlines()
         assert lines  # at least the final line
         assert "2/2 job(s) done" in lines[-1]
 

@@ -156,10 +156,7 @@ class TestServeEndpoint:
 
         previous = set_registry(MetricsRegistry())
         try:
-            config = ServeConfig(
-                port=0, cache=ResultCache(tmp_path / "cache"),
-                heartbeat_interval=None,
-            )
+            config = ServeConfig(port=0, cache=ResultCache(tmp_path / "cache"))
             with serve_in_thread(config) as handle:
                 from repro.exec import JobSpec, WorkloadSpec
                 from repro.sim import SystemConfig
@@ -193,7 +190,7 @@ class TestServeEndpoint:
 
         previous = set_registry(MetricsRegistry())
         try:
-            config = ServeConfig(port=0, heartbeat_interval=None)
+            config = ServeConfig(port=0)
             with serve_in_thread(config) as handle:
                 status, ctype, body = self._fetch(handle.port, "/metrics")
                 assert status == 200

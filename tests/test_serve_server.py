@@ -53,9 +53,7 @@ def run_counter(monkeypatch):
 
 def quiet_config(tmp_path=None, **kwargs) -> ServeConfig:
     cache = ResultCache(tmp_path / "cache") if tmp_path is not None else None
-    return ServeConfig(
-        port=0, cache=cache, heartbeat_interval=None, **kwargs
-    )
+    return ServeConfig(port=0, cache=cache, **kwargs)
 
 
 class TestEndToEnd:
@@ -148,8 +146,7 @@ class TestBackpressure:
             return real_run(self)
 
         monkeypatch.setattr(JobSpec, "run", gated_run)
-        config = ServeConfig(port=0, workers=1, queue_limit=1,
-                             heartbeat_interval=None)
+        config = ServeConfig(port=0, workers=1, queue_limit=1)
         try:
             with serve_in_thread(config) as handle:
                 client = ServeClient(port=handle.port)
@@ -188,8 +185,7 @@ class TestBackpressure:
             JobSpec, "run",
             lambda self: (gate.wait(timeout=60), real_run(self))[1],
         )
-        config = ServeConfig(port=0, workers=1, queue_limit=1,
-                             heartbeat_interval=None)
+        config = ServeConfig(port=0, workers=1, queue_limit=1)
         try:
             with serve_in_thread(config) as handle:
                 client = ServeClient(port=handle.port)
@@ -231,7 +227,7 @@ class TestHttpSurface:
         )
         try:
             with serve_in_thread(
-                ServeConfig(port=0, workers=1, heartbeat_interval=None)
+                ServeConfig(port=0, workers=1)
             ) as handle:
                 client = ServeClient(port=handle.port)
                 receipt = client.submit(spec())
@@ -267,7 +263,7 @@ class TestHttpSurface:
 
         monkeypatch.setattr(JobSpec, "run", failing_then_ok)
         with serve_in_thread(
-            ServeConfig(port=0, workers=1, heartbeat_interval=None)
+            ServeConfig(port=0, workers=1)
         ) as handle:
             client = ServeClient(port=handle.port)
             receipt = client.submit(spec())
@@ -300,7 +296,7 @@ class TestHttpSurface:
         monkeypatch.setattr(JobSpec, "run", tracking_run)
         try:
             with serve_in_thread(
-                ServeConfig(port=0, workers=1, heartbeat_interval=None)
+                ServeConfig(port=0, workers=1)
             ) as handle:
                 greedy = ServeClient(port=handle.port, client_id="greedy")
                 light = ServeClient(port=handle.port, client_id="light")

@@ -1,5 +1,7 @@
 """Tests for the benchmark-suite layer (repro.suite)."""
 
+import json
+
 import pytest
 
 from repro.errors import AnalysisError, WorkloadError
@@ -125,6 +127,35 @@ class TestRunSuite:
         warm = run_suite(self._tiny("bzip2"), small_system, **kwargs)
         assert warm.cache_hits == 2 and warm.simulated == 0
         assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_stops_the_suite(self, small_system, tmp_path, monkeypatch):
+        """Ctrl-C in the first member's second job ends the whole suite;
+        the job that completed is in the directory cache."""
+        from repro.exec import JobSpec
+
+        ran = []
+        real_run = JobSpec.run
+
+        def run(self):
+            ran.append(self.workload.label)
+            if len(ran) == 2:
+                raise KeyboardInterrupt
+            return real_run(self)
+
+        monkeypatch.setattr(JobSpec, "run", run)
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(
+                self._tiny("bzip2", "mcf", "astar"),
+                small_system,
+                policies=("non-inclusive", "exclusive", "lap"),
+                refs_per_core=1000,
+                cache=cache,
+            )
+        assert len(ran) == 2 and ran[0] == ran[1], "no later member may run"
+        monkeypatch.undo()
+        [entry] = (tmp_path / "cache").glob("*.json")
+        assert json.loads(entry.read_text())["job"]["policy"] == "non-inclusive"
 
     def test_invalid_policy_rejected_up_front(self, small_system):
         from repro.errors import ConfigurationError

@@ -7,7 +7,6 @@ from repro.sim import SystemConfig
 from repro.sim.runner import duplicate_builder
 from repro.sim.sweeps import (
     Sweep,
-    SweepRecord,
     load_csv,
     normalize_records,
     records_to_csv,
@@ -56,12 +55,6 @@ class TestSweepExecution:
         for r in records:
             assert r.metrics["epi"] > 0
             assert r.metrics["mpki"] > 0
-
-    def test_progress_callback(self):
-        seen = []
-        small_sweep(policies=("non-inclusive",)).run(progress=seen.append)
-        assert len(seen) == 1
-        assert isinstance(seen[0], SweepRecord)
 
     def test_normalize_records(self, records):
         norm = normalize_records(records, "llc_writes")

@@ -35,9 +35,9 @@ from repro.validate import DEFAULT_POLICIES, generate_trace, run_trace
 from repro.workloads.mixes import MULTIPROGRAMMED, Workload, make_table3_mix
 from repro.workloads.trace import FixedTrace, MemRef
 
-#: policies declared batched-kernel-eligible by the registry — derived,
-#: so a newly registered BATCHED policy joins the kernel parity matrix
-#: automatically.
+#: registered policies the batched kernel can run (derived from
+#: ``kernel_mode``), so a policy the kernel learns joins the kernel
+#: parity matrix automatically.
 KERNEL_POLICIES = batched_policy_names()
 
 #: duel cadence for the fuzz replays: short enough that set-dueling
